@@ -40,7 +40,6 @@ from repro.cache import default_cache, reset_default_cache
 from repro.check.fuzz import run_fuzz_parallel
 from repro.check.generate import random_cases
 from repro.check.oracle import DifferentialOracle
-from repro.hmos.faults import FaultInjector
 from repro.hmos.scheme import HMOS
 from repro.protocol.access import AccessProtocol, StepRequest
 
@@ -111,11 +110,10 @@ class SeedOracle(DifferentialOracle):
         )
         for scheme in (self._cycle_scheme, self._model_scheme):
             scheme.mesh._TABLE_MAX_N = 0
-        cycle_faults = FaultInjector(self._cycle_scheme)
-        model_faults = FaultInjector(self._model_scheme)
-        if case.failed_nodes:
-            cycle_faults.fail_nodes(list(case.failed_nodes))
-            model_faults.fail_nodes(list(case.failed_nodes))
+        # The same node faults, processor faults and fault schedule as
+        # the oracle's own protocols, so both stacks run the same cases.
+        cycle_faults = self._build_injector(self._cycle_scheme)
+        model_faults = self._build_injector(self._model_scheme)
         self._cycle = AccessProtocol(
             self._cycle_scheme, engine="cycle", faults=cycle_faults, reuse=False
         )

@@ -31,6 +31,7 @@ from repro.hmos.copytree import extract_min_target_set
 from repro.hmos.scheme import HMOS
 from repro.mesh.costmodel import CostModel
 from repro.mesh.ksort import kk_sort_steps
+from repro.util.grouping import rank_within_groups
 
 __all__ = ["IterationStats", "CullingResult", "cull"]
 
@@ -87,21 +88,9 @@ def _mark_with_cap(keys: np.ndarray, selected: np.ndarray, cap: int) -> np.ndarr
     the Theorem 3 proof requires.
     """
     marked = np.zeros_like(selected)
-    flat_sel = selected.reshape(-1)
-    sel_idx = np.nonzero(flat_sel)[0]
-    if sel_idx.size == 0:
-        return marked
-    sel_keys = keys.reshape(-1)[sel_idx]
-    order = np.argsort(sel_keys, kind="stable")
-    sorted_keys = sel_keys[order]
-    new_group = np.ones(sorted_keys.size, dtype=bool)
-    new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    group_start = np.maximum.accumulate(
-        np.where(new_group, np.arange(sorted_keys.size), 0)
-    )
-    rank_in_page = np.arange(sorted_keys.size) - group_start
-    win = rank_in_page < cap
-    marked.reshape(-1)[sel_idx[order[win]]] = True
+    sel_idx = np.flatnonzero(selected)
+    win = rank_within_groups(keys.reshape(-1)[sel_idx]) < cap
+    marked.reshape(-1)[sel_idx[win]] = True
     return marked
 
 

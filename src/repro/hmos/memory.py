@@ -6,11 +6,22 @@ copies it reached.  Definition 2 guarantees that whenever both the write
 and the read access the root of T_v, the read sees at least one updated
 copy — the consistency property tested exhaustively in E12.
 
-Storage is a sparse map keyed by *copy id* (``variable * q^k + path``):
-the simulated machine's memory content, not its geometry (which lives in
-:mod:`repro.hmos.placement`).  Sparse because a PRAM program touches few
-of the up-to-``n^2 q^k`` copies, and dense arrays would not scale to the
-largest experiments.
+This is the simulated machine's memory content, not its geometry (which
+lives in :mod:`repro.hmos.placement`).  A PRAM program touches few of
+the up to ``n^2 q^k`` copies (5.2e9 slots in E8's largest instance), so
+storage grows with the *touched variables* only:
+
+* a sorted int64 index of every variable ever written, looked up with
+  ``np.searchsorted`` (one trailing sentinel key, so every lookup lands
+  on a valid entry);
+* each index entry names one row of two appended ``(rows, q^k)`` int64
+  tables, the copies' values and timestamps, grown by doubling;
+* row 0 is never written and reads ``(0, -1)``: the machine's initial
+  memory image, returned for every copy of an untouched variable.
+
+Reads and writes are whole-array gathers and scatters into the flat
+tables.  Callers name copies by ``(variable, path)``; ``snapshot()``
+keys them by the flat copy id ``variable * q^k + path``.
 """
 
 from __future__ import annotations
@@ -22,37 +33,85 @@ from repro.hmos.params import HMOSParams
 __all__ = ["CopyMemory"]
 
 _UNWRITTEN_TS = -1
-_DEFAULT_VALUE = 0
+_SENTINEL = np.iinfo(np.int64).max
 
 
 class CopyMemory:
-    """Sparse ``copy id -> (value, timestamp)`` store."""
+    """Vectorised ``copy id -> (value, timestamp)`` store."""
 
     def __init__(self, params: HMOSParams):
         self.params = params
-        self._store: dict[int, tuple[int, int]] = {}
+        red = params.redundancy
+        self._keys = np.array([_SENTINEL], dtype=np.int64)
+        self._rows = np.zeros(1, dtype=np.int64)
+        self._values = np.zeros((1, red), dtype=np.int64)
+        self._stamps = np.full((1, red), _UNWRITTEN_TS, dtype=np.int64)
+        self._used = 1
 
-    def copy_ids(self, variables, paths) -> np.ndarray:
-        """Pack ``(variable, path)`` into the flat copy id."""
+    def _checked(self, variables, paths) -> tuple[np.ndarray, np.ndarray]:
+        """Range-checked ``(variables, paths)``, broadcast together."""
         variables = np.asarray(variables, dtype=np.int64)
         paths = np.asarray(paths, dtype=np.int64)
         red = self.params.redundancy
-        if np.any((paths < 0) | (paths >= red)):
+        if ((paths < 0) | (paths >= red)).any():
             raise ValueError(f"path out of range [0, {red})")
-        if np.any((variables < 0) | (variables >= self.params.num_variables)):
+        if ((variables < 0) | (variables >= self.params.num_variables)).any():
             raise ValueError("variable out of range")
-        return variables * red + paths
+        if variables.shape != paths.shape:
+            variables, paths = np.broadcast_arrays(variables, paths)
+        return variables, paths
+
+    def _rows_of(self, variables: np.ndarray) -> np.ndarray:
+        """Table row of each variable; 0 (the unwritten row) if untouched."""
+        at = self._keys.searchsorted(variables)
+        return np.where(self._keys[at] == variables, self._rows[at], 0)
 
     def write(self, variables, paths, values, timestamp: int) -> None:
-        """Write ``values`` to the given copies, stamping ``timestamp``."""
-        ids = self.copy_ids(variables, paths).reshape(-1)
-        values = np.broadcast_to(
-            np.asarray(values, dtype=np.int64), ids.shape
-        ).reshape(-1)
+        """Write ``values`` to the given copies, stamping ``timestamp``.
+
+        If a copy appears more than once, its last value wins.
+        """
         ts = int(timestamp)
-        store = self._store
-        for cid, val in zip(ids.tolist(), values.tolist()):
-            store[cid] = (val, ts)
+        if ts < 0:
+            raise ValueError(
+                f"timestamp must be >= 0 ({_UNWRITTEN_TS} marks an unwritten copy)"
+            )
+        variables, paths = self._checked(variables, paths)
+        variables = variables.reshape(-1)
+        rows = self._rows_of(variables)
+        fresh = rows == 0
+        if fresh.any():
+            new = np.unique(variables[fresh])
+            new_rows = self._append_rows(new.size)
+            at = self._keys.searchsorted(new)
+            self._keys = np.insert(self._keys, at, new)
+            self._rows = np.insert(self._rows, at, new_rows)
+            rows[fresh] = new_rows[new.searchsorted(variables[fresh])]
+        cells = rows * self.params.redundancy + paths.reshape(-1)
+        values = np.broadcast_to(np.asarray(values, dtype=np.int64), cells.shape)
+        flat = self._values.reshape(-1)
+        flat[cells] = values
+        self._stamps.reshape(-1)[cells] = ts
+        if (flat[cells] != values).any():
+            # A repeated copy id got an arbitrary one of its values
+            # (NumPy does not order repeated scatters): redo the last.
+            last = cells.size - 1 - np.unique(cells[::-1], return_index=True)[1]
+            flat[cells[last]] = values[last]
+
+    def _append_rows(self, count: int) -> np.ndarray:
+        """Claim ``count`` fresh (unwritten) table rows; returns their ids."""
+        start = self._used
+        self._used += count
+        capacity = self._values.shape[0]
+        if self._used > capacity:
+            capacity = max(self._used, 2 * capacity)
+            red = self.params.redundancy
+            values = np.zeros((capacity, red), dtype=np.int64)
+            stamps = np.full((capacity, red), _UNWRITTEN_TS, dtype=np.int64)
+            values[:start] = self._values[:start]
+            stamps[:start] = self._stamps[:start]
+            self._values, self._stamps = values, stamps
+        return np.arange(start, self._used, dtype=np.int64)
 
     def read(self, variables, paths) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(values, timestamps)`` of the given copies.
@@ -60,15 +119,12 @@ class CopyMemory:
         Unwritten copies read as ``(0, -1)`` — the machine's initial
         memory image.
         """
-        ids = self.copy_ids(variables, paths)
-        flat = ids.reshape(-1)
-        vals = np.empty(flat.shape, dtype=np.int64)
-        tss = np.empty(flat.shape, dtype=np.int64)
-        store = self._store
-        default = (_DEFAULT_VALUE, _UNWRITTEN_TS)
-        for i, cid in enumerate(flat.tolist()):
-            vals[i], tss[i] = store.get(cid, default)
-        return vals.reshape(ids.shape), tss.reshape(ids.shape)
+        variables, paths = self._checked(variables, paths)
+        cells = self._rows_of(variables) * self.params.redundancy + paths
+        return (
+            np.take(self._values.reshape(-1), cells),
+            np.take(self._stamps.reshape(-1), cells),
+        )
 
     def read_latest(self, variables, paths_matrix: np.ndarray) -> np.ndarray:
         """Majority-rule read: newest value among each row's copies.
@@ -86,23 +142,28 @@ class CopyMemory:
         """Majority-rule read with a boolean reached-set per variable.
 
         ``reached_mask`` has shape ``(N, q^k)``; rows must reach at least
-        one copy.  Returns the newest reached value per row.
+        one copy.  Returns the newest reached value per row (the first
+        reached path among equally new ones).  Only the reached copies
+        are fetched.
         """
         variables = np.asarray(variables, dtype=np.int64)
         reached_mask = np.asarray(reached_mask, dtype=bool)
         if not reached_mask.any(axis=1).all():
             raise ValueError("every row must reach at least one copy")
-        paths = np.arange(self.params.redundancy, dtype=np.int64)
-        vals, tss = self.read(variables[:, None], paths[None, :])
-        tss = np.where(reached_mask, tss, np.int64(-2))
-        pick = np.argmax(tss, axis=1)
-        rows = np.arange(vals.shape[0])
-        return vals[rows, pick]
+        red = self.params.redundancy
+        reached = np.flatnonzero(reached_mask)
+        vals, tss = self.read(variables[reached // red], reached % red)
+        newest = np.full(reached_mask.size, _UNWRITTEN_TS - 1, dtype=np.int64)
+        newest[reached] = tss
+        pick = newest.reshape(reached_mask.shape).argmax(axis=1)
+        found = np.zeros(reached_mask.size, dtype=np.int64)
+        found[reached] = vals
+        return found[np.arange(pick.size) * red + pick]
 
     @property
     def written_copies(self) -> int:
         """Number of copies ever written (storage footprint)."""
-        return len(self._store)
+        return int(np.count_nonzero(self._stamps[1 : self._used] >= 0))
 
     def snapshot(self) -> dict[int, tuple[int, int]]:
         """The full ``copy id -> (value, timestamp)`` image, copied.
@@ -112,4 +173,14 @@ class CopyMemory:
         differential certification (batched vs sequential replay) and
         the fault tests rely on.
         """
-        return dict(self._store)
+        red = self.params.redundancy
+        keys, rows = self._keys[:-1], self._rows[:-1]
+        stamps = self._stamps[rows]
+        hit = stamps >= 0
+        cids = (keys[:, None] * red + np.arange(red, dtype=np.int64))[hit]
+        return dict(
+            zip(
+                cids.tolist(),
+                zip(self._values[rows][hit].tolist(), stamps[hit].tolist()),
+            )
+        )

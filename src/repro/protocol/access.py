@@ -478,10 +478,14 @@ class AccessProtocol:
         positions = [origins]
         stage_info: list[tuple[int, int, int, int, float]] = []
         cur = origins
+        # A stage operates within the pages one level up: the widest of
+        # them, whose spans the previous stage computed, sets t_nodes
+        # (the whole mesh for stage k + 1).
+        t_nodes = n
         for stage in range(k + 1, 0, -1):
+            delta_in = _max_per_node(cur, n)
             if stage == 1:
                 targets = copy_nodes
-                t_nodes = self._max_span(1, pkt_vars, pkt_paths, chains)
                 sort_charge = 0.0  # stage 1 is pure (delta_1, delta_0)-routing
             else:
                 level = stage - 1
@@ -492,17 +496,13 @@ class AccessProtocol:
                 rank = rank_within_groups(keys)
                 span_len = last - first + 1
                 targets = scheme.mesh.node_of_rank(first + rank % span_len)
-                t_nodes = (
-                    n if stage == k + 1 else self._max_span(stage, pkt_vars, pkt_paths, chains)
-                )
-                sort_charge = self._sort_charge(
-                    _max_per_node(cur, n), t_nodes
-                )
-            delta_in = _max_per_node(cur, n)
+                sort_charge = self._sort_charge(delta_in, t_nodes)
             delta_out = _max_per_node(targets, n)
             stage_info.append((stage, t_nodes, delta_in, delta_out, sort_charge))
             positions.append(targets)
             cur = targets
+            if stage > 1:
+                t_nodes = int(span_len.max()) if span_len.size else 1
 
         # Every stage's targets are fixed by the placement (they never
         # depend on where earlier routing put the packets), so all
@@ -612,12 +612,6 @@ class AccessProtocol:
             rollup=True,
             op=op,
         )
-
-    def _max_span(self, level: int, pkt_vars, pkt_paths, chains) -> int:
-        first, last = self.scheme.placement.page_node_spans(
-            level, pkt_vars, pkt_paths, chains
-        )
-        return int((last - first + 1).max()) if first.size else 1
 
     def _sort_charge(self, delta: int, t_nodes: int) -> float:
         """Charge for sort-and-rank within submeshes of ``t_nodes`` nodes."""

@@ -1,0 +1,114 @@
+"""CopyMemory against the per-copy dict store it replaced.
+
+The reference below keeps the old semantics in a few lines: one dict
+entry per written copy, the last write wins, unwritten copies read
+``(0, -1)``.  Random streams of broadcast writes, rewrites, repeated
+copy ids and reads of untouched variables must give equal outputs, an
+equal ``snapshot()`` and an equal ``written_copies`` on both.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.hmos.memory import CopyMemory
+from repro.hmos.params import HMOSParams
+
+PARAMS = HMOSParams(n=64, alpha=1.5, q=3, k=2)
+RED = PARAMS.redundancy
+NV = PARAMS.num_variables
+
+
+class DictMemory:
+    """Reference: the dict keyed by copy id, touched one copy at a time."""
+
+    def __init__(self):
+        self.store = {}
+
+    def write(self, variables, paths, values, timestamp):
+        ids = np.add(np.multiply(variables, RED), paths).reshape(-1)
+        values = np.broadcast_to(values, ids.shape)
+        for cid, val in zip(ids.tolist(), values.tolist()):
+            self.store[cid] = (val, timestamp)
+
+    def read(self, variables, paths):
+        ids = np.add(np.multiply(variables, RED), paths)
+        pairs = [self.store.get(c, (0, -1)) for c in ids.reshape(-1).tolist()]
+        pairs = np.array(pairs, dtype=np.int64).reshape(ids.shape + (2,))
+        return pairs[..., 0], pairs[..., 1]
+
+    def read_latest(self, variables, paths_matrix):
+        vals, tss = self.read(variables[:, None], paths_matrix)
+        return vals[np.arange(len(variables)), tss.argmax(axis=1)]
+
+    def read_latest_masked(self, variables, mask):
+        vals, tss = self.read(variables[:, None], np.arange(RED)[None, :])
+        pick = np.where(mask, tss, -2).argmax(axis=1)
+        return vals[np.arange(len(variables)), pick]
+
+
+# A few fixed ids (both ends of the address space among them) so that
+# rewrites and repeated ids are common; any other id is untouched.
+variable_ids = st.one_of(
+    st.sampled_from([0, 1, 5, 17, 400, NV - 2, NV - 1]),
+    st.integers(0, NV - 1),
+)
+paths = st.integers(0, RED - 1)
+
+
+@st.composite
+def operations(draw):
+    kind = draw(st.sampled_from(["write", "broadcast", "read", "latest", "masked"]))
+    size = draw(st.integers(0, 12))
+    variables = np.array(
+        draw(st.lists(variable_ids, min_size=size, max_size=size)), dtype=np.int64
+    )
+    ps = np.array(draw(st.lists(paths, min_size=size, max_size=size)), dtype=np.int64)
+    if kind == "write":
+        values = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+        return kind, variables, ps, np.array(values, dtype=np.int64)
+    if kind == "broadcast":
+        # Every listed variable gets every listed path, one value.
+        return kind, variables[:, None], ps[None, :], draw(st.integers(-50, 50))
+    if kind == "read":
+        return kind, variables, ps, None
+    if kind == "latest":
+        width = draw(st.integers(1, RED))
+        matrix = draw(
+            st.lists(
+                st.lists(paths, min_size=width, max_size=width),
+                min_size=size,
+                max_size=size,
+            )
+        )
+        matrix = np.array(matrix, dtype=np.int64).reshape(size, width)
+        return kind, variables, matrix, None
+    rows = st.lists(st.booleans(), min_size=RED, max_size=RED)
+    mask = np.array(
+        draw(st.lists(rows, min_size=size, max_size=size)), dtype=bool
+    ).reshape(size, RED)
+    mask[np.arange(size), ps] = True  # every row reaches at least one copy
+    return kind, variables, mask, None
+
+
+@given(
+    st.lists(operations(), max_size=25),
+    st.lists(st.integers(0, 6), min_size=25, max_size=25),
+)
+def test_matches_dict_reference(ops, stamps):
+    memory, reference = CopyMemory(PARAMS), DictMemory()
+    for (kind, variables, arg, values), ts in zip(ops, stamps):
+        if kind in ("write", "broadcast"):
+            memory.write(variables, arg, values, ts)
+            reference.write(variables, arg, values, ts)
+        elif kind == "read":
+            got, want = memory.read(variables, arg), reference.read(variables, arg)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        elif kind == "latest":
+            got = memory.read_latest(variables, arg)
+            assert np.array_equal(got, reference.read_latest(variables, arg))
+        else:
+            got = memory.read_latest_masked(variables, arg)
+            assert np.array_equal(got, reference.read_latest_masked(variables, arg))
+        assert memory.written_copies == len(reference.store)
+    assert memory.snapshot() == reference.store

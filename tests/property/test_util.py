@@ -6,6 +6,7 @@ example-based tests in ``tests/test_util_intmath.py``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -71,10 +72,42 @@ class TestIntmathRoundTrips:
             assert r * r != value or not is_perfect_square(value)
 
 
-group_lists = st.lists(st.integers(-5, 5), max_size=200)
+# Dense small labels (long runs of equal ids) and labels spread over
+# +-2^40 (the packed sort key's range, far beyond any page key).
+group_lists = st.one_of(
+    st.lists(st.integers(-5, 5), max_size=200),
+    st.lists(st.integers(-(2**40), 2**40), max_size=200),
+    st.lists(st.sampled_from([-(2**40), -1, 0, 3, 2**40]), max_size=200),
+)
+
+
+def _stable_argsort_ranks(arr):
+    """The definition: position in the stable sort minus the start of
+    the element's run of equal ids."""
+    order = np.argsort(arr, kind="stable")
+    sorted_ids = arr[order]
+    new_group = np.ones(arr.size, dtype=bool)
+    new_group[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    run_start = np.maximum.accumulate(np.where(new_group, np.arange(arr.size), 0))
+    ranks = np.empty(arr.size, dtype=np.int64)
+    ranks[order] = np.arange(arr.size) - run_start
+    return ranks
 
 
 class TestRankWithinGroups:
+    @given(group_lists)
+    def test_matches_stable_argsort_definition(self, groups):
+        arr = np.array(groups, dtype=np.int64)
+        assert np.array_equal(rank_within_groups(arr), _stable_argsort_ranks(arr))
+
+    def test_rejects_ids_whose_packed_key_overflows_int64(self):
+        # Span 2^62 ids times 2 positions fills int64 exactly; one more
+        # id of span overflows it.
+        top = 2**62 - 1
+        assert rank_within_groups(np.array([0, top])).tolist() == [0, 0]
+        with pytest.raises(ValueError, match="overflow"):
+            rank_within_groups(np.array([-1, top]))
+
     @given(group_lists)
     def test_ranks_are_stable_sequences_per_group(self, groups):
         """Within every group, ranks read 0, 1, 2, ... in input order —

@@ -37,6 +37,24 @@ class TestCopyMemory:
         with pytest.raises(ValueError):
             scheme.memory.read(np.array([scheme.num_variables]), np.array([0]))
 
+    def test_rejects_negative_timestamp(self, scheme):
+        """-1 marks an unwritten copy, so a -1 write would vanish from
+        the snapshot; every negative stamp is refused up front."""
+        with pytest.raises(ValueError):
+            scheme.memory.write(np.array([3]), np.array([0]), 9, timestamp=-1)
+        assert scheme.memory.written_copies == 0
+        assert scheme.memory.snapshot() == {}
+
+    def test_duplicate_copy_last_value_wins(self, scheme):
+        v = np.array([2, 2, 2, 2])
+        paths = np.array([1, 3, 1, 1])
+        scheme.memory.write(v, paths, np.array([5, 7, 6, 8]), timestamp=4)
+        vals, tss = scheme.memory.read(v[:2], paths[:2])
+        assert vals.tolist() == [8, 7] and tss.tolist() == [4, 4]
+        assert scheme.memory.written_copies == 2
+        red = scheme.redundancy
+        assert scheme.memory.snapshot() == {2 * red + 1: (8, 4), 2 * red + 3: (7, 4)}
+
     def test_written_copies_counter(self, scheme):
         assert scheme.memory.written_copies == 0
         scheme.memory.write(np.array([0, 0]), np.array([0, 1]), 1, timestamp=0)

@@ -71,6 +71,18 @@ class TestReadWrite:
         sizes = [s.t_nodes for s in res.stages]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
+    def test_inner_stage_t_nodes_is_widest_page_span(self, cycle, scheme):
+        """Stage i <= k works inside level-i pages: its t_nodes is the
+        widest level-i page span among the step's selected copies."""
+        variables = np.arange(40)
+        res = cycle.read(variables)
+        rows, paths = np.nonzero(res.culling.selected)
+        for s in res.stages[1:]:
+            first, last = scheme.placement.page_node_spans(
+                s.stage, variables[rows], paths
+            )
+            assert s.t_nodes == int((last - first + 1).max())
+
     def test_total_steps_decomposition(self, cycle):
         res = cycle.read(np.arange(8))
         assert res.total_steps == pytest.approx(
