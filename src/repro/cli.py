@@ -51,14 +51,6 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _add_shards_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="submesh shards for the cycle engine's stepping loop "
-        "(default: $REPRO_SHARDS or 1; results are bit-identical)",
-    )
-
-
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fail-nodes", default=None, metavar="IDS",
@@ -104,9 +96,7 @@ def _cmd_step(args) -> int:
 
     scheme = HMOS(n=args.n, alpha=args.alpha, q=args.q, k=args.k)
     faults = _build_injector(scheme, args)
-    proto = AccessProtocol(
-        scheme, engine=args.engine, shards=args.shards, faults=faults
-    )
+    proto = AccessProtocol(scheme, engine=args.engine, faults=faults)
     if args.workload == "adversarial":
         variables = module_collision_requests(scheme, args.n)
     else:
@@ -200,9 +190,7 @@ def _cmd_run(args) -> int:
     scheme = HMOS(n=args.n, alpha=args.alpha, q=args.q, k=args.k)
     faults = _build_injector(scheme, args)
     machine = PRAMMachine(
-        MeshBackend(
-            scheme, engine=args.engine, shards=args.shards, faults=faults
-        ),
+        MeshBackend(scheme, engine=args.engine, faults=faults),
         args.n,
     )
     if args.data:
@@ -301,9 +289,7 @@ def _cmd_trace(args) -> int:
 
         scheme = HMOS(n=args.n, alpha=args.alpha, q=args.q, k=args.k)
         faults = _build_injector(scheme, args)
-        proto = AccessProtocol(
-            scheme, engine=args.engine, shards=args.shards, faults=faults
-        )
+        proto = AccessProtocol(scheme, engine=args.engine, faults=faults)
         steps = _trace_workload(scheme, args)
         with obs.capture() as tracer:
             results = proto.run_steps(steps, on_error="record")
@@ -599,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("step", help="simulate one PRAM memory step")
     _add_scheme_args(p)
-    _add_shards_arg(p)
     _add_fault_args(p)
     p.add_argument("--engine", choices=["cycle", "model"], default="cycle")
     p.add_argument("--workload", choices=["uniform", "adversarial"], default="uniform")
@@ -673,7 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="record one run_steps workload to a trace file"
     )
     _add_scheme_args(pt)
-    _add_shards_arg(pt)
     _add_fault_args(pt)
     pt.add_argument("--engine", choices=["cycle", "model"], default="cycle")
     pt.add_argument("--workload", choices=["uniform", "adversarial"],
@@ -767,7 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a PRAM assembly program on the mesh")
     p.add_argument("file", help="assembly file, or - for stdin")
     _add_scheme_args(p)
-    _add_shards_arg(p)
     _add_fault_args(p)
     p.add_argument("--engine", choices=["cycle", "model"], default="model")
     p.add_argument("--data", help="comma-separated ints preloaded at MEM[0]")

@@ -24,7 +24,6 @@ from repro.mesh.costmodel import CostModel
 from repro.mesh.deterministic import ThreePhaseResult, route_three_phase
 from repro.mesh.engine import RouteResult, SynchronousEngine
 from repro.mesh.engine_core import SteppingCore, reference_route
-from repro.mesh.engine_shard import ShardedSteppingCore, resolve_shards
 from repro.mesh.hilbert import hilbert_decode, hilbert_encode
 from repro.mesh.ksort import kk_sort, kk_sort_steps
 from repro.mesh.morton import morton_decode, morton_encode
@@ -51,9 +50,7 @@ __all__ = [
     "RouteResult",
     "SynchronousEngine",
     "SteppingCore",
-    "ShardedSteppingCore",
     "reference_route",
-    "resolve_shards",
     "Tessellation",
     "hilbert_decode",
     "kk_sort",

@@ -23,7 +23,8 @@ batches in one loop (:meth:`SynchronousEngine.route_many`).  The
 refactor is step-count preserving: ``steps``, ``total_hops`` and
 ``node_traffic`` are identical to the seed engine under the same
 farthest-first arbitration (pinned by ``tests/test_engine_equivalence.py``
-against a golden file generated from the seed).
+against a golden file generated from the seed).  The engine always runs
+that one core, in the calling process.
 """
 
 from __future__ import annotations
@@ -51,17 +52,7 @@ class _OccupancyHistogram:
         self.bins = np.zeros(0, dtype=np.int64)
 
     def __call__(self, occ: np.ndarray) -> None:
-        self.add_bins(np.bincount(occ))
-
-    def add_bins(self, bincounts: np.ndarray) -> None:
-        """Merge pre-binned counts (the sharded core's aggregation hook).
-
-        Shard-local occupancy histograms sum exactly to the single-shard
-        histogram — bins partition by node — so the process-pool driver
-        accumulates bins per shard and merges once per run instead of
-        shipping per-step occupancy vectors back to the parent.
-        """
-        bincounts = np.asarray(bincounts, dtype=np.int64)
+        bincounts = np.bincount(occ)
         if bincounts.size > self.bins.size:
             grown = np.zeros(bincounts.size, dtype=np.int64)
             grown[: self.bins.size] = self.bins
@@ -81,47 +72,19 @@ class SynchronousEngine:
         4 packets simultaneously.  ``"single"``: a node sends at most
         one packet per step regardless of link — the weaker model some
         PRAM-simulation papers assume; routing gets up to 4x slower.
-    shards : int
-        Partition the stepping loop into this many row-block submesh
-        shards (rounded to a power of two ``<= side``).  ``1`` (default)
-        keeps the single-process :class:`SteppingCore`; larger values
-        install a bit-identical
-        :class:`~repro.mesh.engine_shard.ShardedSteppingCore`, which
-        fans the shards out over a persistent shared-memory worker pool
-        on multi-core machines.
 
     The engine owns one stepping core and reuses its preallocated
-    buffers (and, when sharded, its worker pool and shared-memory
-    slabs) across calls, so repeated routing (protocol stages,
+    buffers across calls, so repeated routing (protocol stages,
     benchmark sweeps) pays no per-call allocation for the hot-loop
     state.
     """
 
-    def __init__(self, mesh: Mesh, *, ports: str = "multi", shards: int = 1):
+    def __init__(self, mesh: Mesh, *, ports: str = "multi"):
         if ports not in ("multi", "single"):
             raise ValueError(f"ports must be 'multi' or 'single', got {ports!r}")
         self.mesh = mesh
         self.ports = ports
-        from repro.mesh.engine_shard import resolve_shards
-
-        self.shards = resolve_shards(shards, mesh.side)
-        if self.shards > 1:
-            from repro.mesh.engine_shard import ShardedSteppingCore
-
-            self._core = ShardedSteppingCore(mesh, ports, shards=self.shards)
-        else:
-            self._core = SteppingCore(mesh, ports)
-
-    def close(self) -> None:
-        """Release sharded-core resources (worker pool, shared memory).
-
-        A no-op for the single-shard core; safe to call repeatedly.
-        Unclosed engines are still cleaned up by GC finalizers, but
-        long-lived callers (benchmark sweeps) should close explicitly.
-        """
-        close = getattr(self._core, "close", None)
-        if close is not None:
-            close()
+        self._core = SteppingCore(mesh, ports)
 
     def route(self, batch: PacketBatch, *, max_steps: int | None = None) -> RouteResult:
         """Deliver every packet; return the measured :class:`RouteResult`.
@@ -186,26 +149,4 @@ class SynchronousEngine:
         tracer.count("engine.total_hops", sum(r.total_hops for r in out))
         if hist.bins.size:
             tracer.histogram("engine.queue_occupancy", hist.bins)
-        self._trace_shards(tracer)
         return out
-
-    def _trace_shards(self, tracer) -> None:
-        """Per-shard lane spans + halo-traffic counters (sharded core only)."""
-        stats = getattr(self._core, "last_shard_stats", None)
-        if not stats:
-            return
-        halo_total = 0
-        for s in stats:
-            exchanged = int(s["halo_up"]) + int(s["halo_down"])
-            halo_total += exchanged
-            tracer.lane_span(
-                f"shard[{s['shard']}]",
-                "engine.shard_rounds",
-                float(s["steps"]),
-                rows=list(s["rows"]),
-                packets=s["packets"],
-                halo_up=s["halo_up"],
-                halo_down=s["halo_down"],
-            )
-        tracer.count("engine.halo_packets", halo_total)
-        tracer.count("engine.shard_runs")

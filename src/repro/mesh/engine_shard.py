@@ -1,5 +1,13 @@
 """Sharded stepping core: submesh shards in lockstep with halo exchange.
 
+Test-only.  Nothing in the package reaches this module: the
+shared-memory worker pool that ran the shards and the ``shards`` knob
+on the engine, the protocol, the PRAM backend and the CLI were deleted,
+because no available host ever measured a win for them (EXPERIMENTS.md,
+"Why the sharded stepping core left the product").  The in-process core
+stays only while its bit-identity suites (``tests/test_engine_sharded.py``
+and ``tests/property/test_sharding.py``) do.
+
 :class:`ShardedSteppingCore` partitions a mesh into ``S`` horizontal
 row-block shards (shard ``s`` owns rows ``[s*side/S, (s+1)*side/S)`` —
 a contiguous range of linear node ids, so every per-node array is a
@@ -22,44 +30,24 @@ Why the partition is **bit-exact** against the single-shard core:
   per batch per step wins.  A ``batches * side``-slot outbox per
   direction is therefore capacity-exact, and halo exchange is
   nearest-neighbor only.
-* Every measured quantity partitions by node: the occupancy vector is
-  per-node (slice-assembled), ``max_queue`` is a max over per-shard
-  maxima, the queue histogram is a sum of per-shard bin counts, and
-  deliveries are summed per batch each step so every shard observes the
-  same global completion step.  ``node_traffic`` is not counted by the
-  shards at all: like the single core's, it is derived from the XY
-  paths (:func:`repro.mesh.engine_core.xy_path_traffic`) on first read.
-
-Two drivers share the per-shard step code (:class:`_ShardState`):
-
-* an **in-process** loop (shards advanced sequentially) — the exact
-  oracle, used when processes cannot pay off (one core, tiny batches)
-  and by the equivalence tests;
-* a **process pool** (:class:`repro.parallel.ShardWorkerPool`): one
-  persistent worker per shard, all state in named
-  ``multiprocessing.shared_memory`` slabs mapped zero-copy on both
-  sides, two barriers per step (outboxes published / inboxes absorbed).
-  No ndarray is ever pickled — a run ships one small spec dict.
-
-Shared-memory lifecycle: the parent's :class:`~repro.parallel.SharedSlabSet`
-owns the segments (allocate once, grow only, unlink on close/GC);
-workers attach by name and unregister from their resource tracker so
-the parent remains the sole owner.
+* Every measured quantity partitions by node: ``max_queue`` is a max
+  over per-shard maxima, and deliveries are summed per batch each step
+  so every shard observes the same global completion step.
+  ``node_traffic`` is not counted by the shards at all: like the single
+  core's, it is derived from the XY paths
+  (:func:`repro.mesh.engine_core.xy_path_traffic`) on first read.
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
-from threading import BrokenBarrierError
 
 import numpy as np
 
 from repro.mesh.engine_core import RouteResult, _stamp_stride, xy_path_traffic
 from repro.mesh.topology import Mesh
-from repro.parallel import ShardWorkerPool, SharedSlabSet, attach_slab
 
-__all__ = ["ShardedSteppingCore", "resolve_shards"]
+__all__ = ["ShardedSteppingCore"]
 
 # Per-packet int64 state of a shard's resident packets, one row each:
 # gnode  batch-offset linear node id (batch*n + row*side + col)
@@ -73,20 +61,6 @@ __all__ = ["ShardedSteppingCore", "resolve_shards"]
 _N_STATE = 8
 
 
-def resolve_shards(shards, side: int) -> int:
-    """Usable shard count: a power of two in ``[1, side]``.
-
-    Row-block partitioning needs ``side % shards == 0``; since ``side``
-    is a power of two, any request is rounded *down* to the nearest
-    power of two and clamped to one row per shard.
-    """
-    s = int(shards)
-    if s <= 1:
-        return 1
-    s = min(s, int(side))
-    return 1 << (s.bit_length() - 1)
-
-
 class _ShardState:
     """One shard's resident packets, link buckets, and counters.
 
@@ -96,11 +70,6 @@ class _ShardState:
     are parked like the single core's: moved to a sacrificial slot past
     the owned nodes with a key that never wins, and compacted out once
     they exceed a quarter of the resident set.
-
-    Both drivers (in-process loop and pool workers) advance shards
-    exclusively through :meth:`occupancy` / :meth:`advance` /
-    :meth:`absorb`, so the two modes execute literally the same
-    per-step code on different backing buffers.
     """
 
     def __init__(
@@ -117,7 +86,6 @@ class _ShardState:
         *,
         state: np.ndarray,
         maxq: np.ndarray,
-        bins: np.ndarray | None = None,
     ):
         self.rank = rank
         self.n = n
@@ -137,7 +105,6 @@ class _ShardState:
         self.m = 0  # resident count, parked packets included
         self.dead = 0  # parked packets among the resident ones
         self.maxq = maxq  # (nb,)
-        self.bins = bins  # occupancy histogram bins or None
         per = 4 if self.multi else 1
         self.best = np.full((nb * self.ln + 1) * per, -1, dtype=np.int64)
 
@@ -145,13 +112,8 @@ class _ShardState:
         """Batch-offset local slot id of each packet's current node."""
         return b * self.ln + (g - b * self.n - self.base)
 
-    def occupancy(self) -> np.ndarray:
-        """Sample in-transit occupancy over owned nodes; fold maxq/bins.
-
-        Returns the local occupancy vector (``nb * ln``) so the
-        in-process driver can assemble the exact full-mesh vector for
-        the ``occupancy`` hook.
-        """
+    def occupancy(self) -> None:
+        """Sample in-transit occupancy over owned nodes into ``maxq``."""
         g = self.state[0, : self.m]
         occ = np.bincount(
             self._local(g, g // self.n), minlength=self.nb * self.ln
@@ -159,10 +121,6 @@ class _ShardState:
         np.maximum(
             self.maxq, occ.reshape(self.nb, self.ln).max(axis=1), out=self.maxq
         )
-        if self.bins is not None:
-            sample = np.bincount(occ)
-            self.bins[: sample.size] += sample
-        return occ
 
     def advance(self, out_up: np.ndarray, out_down: np.ndarray):
         """One arbitration + movement step over the resident packets.
@@ -276,47 +234,27 @@ def _check_cap(step: int, live: np.ndarray, caps: np.ndarray) -> None:
 
 
 class ShardedSteppingCore:
-    """Drop-in :class:`SteppingCore` running ``shards`` submesh shards.
+    """:class:`SteppingCore`'s routing, run as ``shards`` row-block shards.
 
     Parameters
     ----------
     mesh, ports
         As for :class:`SteppingCore`.
     shards : int
-        Requested shard count; resolved via :func:`resolve_shards`.
-    processes : bool, optional
-        Run shards on the persistent shared-memory worker pool (one
-        process per shard).  Default: only when the machine has more
-        than one core — on a single core the in-process driver is
-        strictly cheaper.  Both drivers are bit-identical.
-    start_method : str, optional
-        Forwarded to the worker pool (testing hook).
+        Exact shard count: at least 2, and a divisor of ``mesh.side``.
     """
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        ports: str = "multi",
-        *,
-        shards: int = 2,
-        processes: bool | None = None,
-        start_method: str | None = None,
-    ):
+    def __init__(self, mesh: Mesh, ports: str = "multi", *, shards: int):
         if ports not in ("multi", "single"):
             raise ValueError(f"ports must be 'multi' or 'single', got {ports!r}")
+        shards = int(shards)
+        if shards < 2 or mesh.side % shards:
+            raise ValueError(
+                f"shards must be >= 2 and divide side {mesh.side}, got {shards}"
+            )
         self.mesh = mesh
         self.ports = ports
-        self.shards = resolve_shards(shards, mesh.side)
-        if processes is None:
-            processes = (os.cpu_count() or 1) > 1
-        self.processes = bool(processes) and self.shards > 1
-        self._start_method = start_method
-        self._pool: ShardWorkerPool | None = None
-        self._slabs: SharedSlabSet | None = None
-        #: Per-shard stats of the most recent run (obs lane spans).
-        self.last_shard_stats: list[dict] = []
-
-    # -- shared init -------------------------------------------------------
+        self.shards = shards
 
     def _prepare(self, batches, max_steps):
         mesh = self.mesh
@@ -375,86 +313,23 @@ class ShardedSteppingCore:
         keys = (P, S, -1 - top)
         return state, counts, caps, keys, total_hops, shard_of, paths
 
-    # -- public API --------------------------------------------------------
-
-    def run(self, batches, *, max_steps=None, observer=None, occupancy=None):
+    def run(self, batches, *, max_steps=None):
         """Advance every batch to completion; see :meth:`SteppingCore.run`.
 
-        The ``observer`` hook exposes single-core array layout
-        (contiguous batch segments, per-step winner masks) that a
-        sharded working set cannot reproduce, so observed runs delegate
-        to a plain :class:`SteppingCore` — the hook is a debugging
-        instrument, not a hot path.
+        The shards advance one after another in this process, in
+        lockstep: every shard steps, then every shard absorbs its
+        neighbors' halo packets.
         """
-        if observer is not None:
-            from repro.mesh.engine_core import SteppingCore
-
-            return SteppingCore(self.mesh, self.ports).run(
-                batches, max_steps=max_steps, observer=observer,
-                occupancy=occupancy,
-            )
         nb = len(batches)
         if nb == 0:
             return []
         state, counts, caps, keys, total_hops, shard_of, paths = self._prepare(
             batches, max_steps
         )
-        # The per-step occupancy *callable* needs the full in-order
-        # vector each step, which only the in-process driver can
-        # assemble; a histogram sink (anything with ``add_bins``) is
-        # order-free and aggregates exactly from per-shard bins, so it
-        # stays on the process path.
-        histogram_sink = occupancy is not None and hasattr(occupancy, "add_bins")
-        use_processes = self.processes and (occupancy is None or histogram_sink)
-        if use_processes:
-            steps_out, maxq, bins, halo, gsteps, m_per = self._run_processes(
-                state, counts, caps, keys, shard_of, want_bins=histogram_sink
-            )
-            if histogram_sink:
-                occupancy.add_bins(bins)
-        else:
-            steps_out, maxq, halo, gsteps, m_per = self._run_inprocess(
-                state, counts, caps, keys, shard_of, occupancy
-            )
-        rows_per = self.mesh.side // self.shards
-        self.last_shard_stats = [
-            {
-                "shard": s,
-                "rows": (s * rows_per, (s + 1) * rows_per),
-                "packets": int(m_per[s]),
-                "halo_up": int(halo[s, 0]),
-                "halo_down": int(halo[s, 1]),
-                "steps": int(gsteps),
-            }
-            for s in range(self.shards)
-        ]
-        return [
-            RouteResult(
-                int(steps_out[b]),
-                int(total_hops[b]),
-                int(maxq[b]),
-                partial(xy_path_traffic, self.mesh.side, *paths[b]),
-            )
-            for b in range(nb)
-        ]
-
-    def close(self) -> None:
-        """Release the worker pool and shared-memory slabs (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-        if self._slabs is not None:
-            self._slabs.close()
-
-    # -- in-process driver (the exact oracle) ------------------------------
-
-    def _run_inprocess(self, state, counts, caps, keys, shard_of, occupancy):
         S = self.shards
         n, side = self.mesh.n, self.mesh.side
-        nb = counts.size
-        ln = n // S
         cap = max(1, state.shape[1])
         shard_states = []
-        m_per = []
         for s in range(S):
             sel = shard_of == s
             k = int(np.count_nonzero(sel))
@@ -467,38 +342,23 @@ class ShardedSteppingCore:
             )
             st.m = k
             shard_states.append(st)
-            m_per.append(k)
 
         outbox = np.empty((S, 2, _N_STATE, nb * side), dtype=np.int64)
         obcount = np.zeros((S, 2), dtype=np.int64)
-        halo = np.zeros((S, 2), dtype=np.int64)
         steps_out = np.zeros(nb, dtype=np.int64)
         live = counts.copy()
         step = 0
         cap_min = int(caps[live > 0].min()) if live.sum() else 0
-        occ_full = (
-            np.empty(nb * n, dtype=np.int64) if occupancy is not None else None
-        )
         while live.sum():
             if step >= cap_min:
                 _check_cap(step, live, caps)
-            if occupancy is not None:
-                shaped = occ_full.reshape(nb, n)
-                for st in shard_states:
-                    shaped[:, st.base : st.base + ln] = st.occupancy().reshape(
-                        nb, ln
-                    )
-                occupancy(occ_full)
-            else:
-                for st in shard_states:
-                    st.occupancy()
+            for st in shard_states:
+                st.occupancy()
             deliveries = np.zeros(nb, dtype=np.int64)
             for s, st in enumerate(shard_states):
                 n_up, n_down, db = st.advance(outbox[s, 0], outbox[s, 1])
                 obcount[s, 0] = n_up
                 obcount[s, 1] = n_down
-                halo[s, 0] += n_up
-                halo[s, 1] += n_down
                 deliveries += db
             for s, st in enumerate(shard_states):
                 if s > 0:
@@ -519,168 +379,12 @@ class ShardedSteppingCore:
         maxq = np.zeros(nb, dtype=np.int64)
         for st in shard_states:
             np.maximum(maxq, st.maxq, out=maxq)
-        return steps_out, maxq, halo, step, m_per
-
-    # -- shared-memory process driver --------------------------------------
-
-    def _run_processes(self, state, counts, caps, keys, shard_of, *, want_bins):
-        S = self.shards
-        n, side = self.mesh.n, self.mesh.side
-        nb = counts.size
-        cap = max(1, state.shape[1])
-        if self._slabs is None:
-            self._slabs = SharedSlabSet()
-        slabs = self._slabs
-        views, names = {}, {}
-        shapes = {
-            "state": (S, _N_STATE, cap),
-            "outbox": (S, 2, _N_STATE, nb * side),
-            "obcount": (S, 2),
-            "db": (S, nb),
-            "maxq": (S, nb),
-            "halo": (S, 2),
-            "steps_out": (nb,),
-            "bins": (S, cap + 2) if want_bins else (1,),
-        }
-        for key, shape in shapes.items():
-            views[key], names[key] = slabs.ensure(key, shape)
-        m_per = []
-        for s in range(S):
-            sel = shard_of == s
-            k = int(np.count_nonzero(sel))
-            views["state"][s, :, :k] = state[:, sel]
-            m_per.append(k)
-        for key in ("maxq", "halo", "steps_out", "bins"):
-            views[key][...] = 0
-        spec = {
-            "n": n,
-            "side": side,
-            "nb": nb,
-            "cap": cap,
-            "ports": self.ports,
-            "keys": list(keys),
-            "m": m_per,
-            "counts": counts.tolist(),
-            "caps": caps.tolist(),
-            "want_bins": want_bins,
-            "slabs": {key: (names[key], shapes[key]) for key in shapes},
-        }
-        if self._pool is None:
-            self._pool = ShardWorkerPool(
-                S, _shard_worker_main, start_method=self._start_method
+        return [
+            RouteResult(
+                int(steps_out[b]),
+                int(total_hops[b]),
+                int(maxq[b]),
+                partial(xy_path_traffic, side, *paths[b]),
             )
-        results = self._pool.run(spec)
-        gsteps = max((r["steps"] for r in results), default=0)
-        steps_out = views["steps_out"].copy()
-        maxq = views["maxq"].max(axis=0)
-        halo = views["halo"].copy()
-        bins = None
-        if want_bins:
-            merged = views["bins"].sum(axis=0)
-            nz = np.flatnonzero(merged)
-            bins = merged[: int(nz[-1]) + 1].copy() if nz.size else merged[:1].copy()
-        return steps_out, maxq, bins, halo, gsteps, m_per
-
-
-def _shard_worker_main(rank, nworkers, barrier, conn):
-    """Worker entry: serve barrier-synchronized runs until told to stop."""
-    cache: dict = {}
-    scratch: dict = {}
-    while True:
-        try:
-            msg = conn.recv()
-        except EOFError:
-            break
-        if msg[0] == "stop":
-            break
-        try:
-            result = _run_shard(rank, nworkers, barrier, msg[1], cache, scratch)
-            conn.send(("done", result))
-        except BrokenBarrierError:
-            conn.send(("error", "BrokenBarrierError|aborted by peer shard"))
-        except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-            try:
-                barrier.abort()
-            except Exception:
-                pass
-            conn.send(("error", f"{type(exc).__name__}|{exc}"))
-    for _, shm in cache.values():
-        try:
-            shm.close()
-        except Exception:
-            pass
-
-
-def _run_shard(rank, S, barrier, spec, cache, scratch):
-    """One shard's lockstep loop against the shared slabs.
-
-    Two barriers per step: the first publishes every shard's outboxes
-    (neighbors may then absorb), the second publishes the per-shard
-    delivery counts (every shard then applies the same global ``live``
-    update, so all shards agree on completion steps and termination
-    without any further coordination).
-    """
-    n = spec["n"]
-    side = spec["side"]
-    nb = spec["nb"]
-    ln = n // S
-    views = {
-        key: attach_slab(cache, key, name, shape)
-        for key, (name, shape) in spec["slabs"].items()
-    }
-    st = _ShardState(
-        rank, S, n, side, nb, spec["ports"], *spec["keys"],
-        state=views["state"][rank],
-        maxq=views["maxq"][rank],
-        bins=views["bins"][rank] if spec["want_bins"] else None,
-    )
-    st.m = int(spec["m"][rank])
-    # Reuse the link buckets across runs (grow-only, wiped to the
-    # all-lost sentinel each run in case a previous run died mid-step).
-    per = 4 if st.multi else 1
-    need = (nb * ln + 1) * per
-    best = scratch.get("best")
-    if best is None or best.size < need:
-        best = np.empty(need, dtype=np.int64)
-        scratch["best"] = best
-    st.best = best[:need]
-    st.best[...] = -1
-
-    outbox = views["outbox"]
-    obcount = views["obcount"]
-    db_table = views["db"]
-    halo = views["halo"][rank]
-    caps = np.asarray(spec["caps"], dtype=np.int64)
-    live = np.asarray(spec["counts"], dtype=np.int64).copy()
-    step = 0
-    cap_min = int(caps[live > 0].min()) if live.sum() else 0
-    while live.sum():
-        if step >= cap_min:
-            _check_cap(step, live, caps)
-        st.occupancy()
-        n_up, n_down, deliveries = st.advance(outbox[rank, 0], outbox[rank, 1])
-        obcount[rank, 0] = n_up
-        obcount[rank, 1] = n_down
-        halo[0] += n_up
-        halo[1] += n_down
-        barrier.wait()  # outboxes published
-        if rank > 0:
-            deliveries = deliveries + st.absorb(
-                outbox[rank - 1, 1], int(obcount[rank - 1, 1])
-            )
-        if rank < S - 1:
-            deliveries = deliveries + st.absorb(
-                outbox[rank + 1, 0], int(obcount[rank + 1, 0])
-            )
-        db_table[rank] = deliveries
-        barrier.wait()  # delivery counts published
-        global_db = db_table.sum(axis=0)
-        step += 1
-        if rank == 0:
-            finished = (live > 0) & (live == global_db)
-            views["steps_out"][finished] = step
-        live -= global_db
-        if not live.sum():
-            break
-        cap_min = int(caps[live > 0].min())
-    return {"steps": step, "resident": st.m}
+            for b in range(nb)
+        ]

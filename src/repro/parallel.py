@@ -1,6 +1,6 @@
-"""Process-parallel execution: sweep pools and the shared-memory shard pool.
+"""Process-parallel execution: the sweep pool and subprocess fan-out.
 
-Three layers, all built so that ``workers <= 1`` (or a machine that
+Two layers, both built so that ``workers <= 1`` (or a machine that
 cannot pay for processes) degrades to plain inline execution:
 
 * :func:`parallel_map` — the sweep runner shared by the fuzzer and the
@@ -17,13 +17,9 @@ cannot pay for processes) degrades to plain inline execution:
 * :func:`run_commands` — independent *subprocess* invocations (the
   per-experiment pytest runs of ``repro experiments``), fanned out on
   threads since the children are processes already.
-* :class:`SharedSlabSet` + :class:`ShardWorkerPool` — the persistent
-  shared-memory worker pool behind the sharded stepping core
-  (:mod:`repro.mesh.engine_shard`).  State lives in named
-  ``multiprocessing.shared_memory`` slabs that workers map as zero-copy
-  NumPy views (allocate once, grow only); the workers are long-lived
-  processes advancing in barrier-synchronized rounds, so a run ships
-  no pickled ndarrays at all — only a small spec dict per run.
+
+Mesh stepping never runs here: the engine advances every routing call
+in the calling process (DESIGN.md, "Engine core").
 
 Worker ids: every pool worker derives a distinct small id from its own
 ``multiprocessing`` process identity and exports it as
@@ -42,21 +38,11 @@ import multiprocessing
 import os
 import subprocess
 import threading
-import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import shared_memory
-
-import numpy as np
 
 from repro.obs import tracer as _obs
 
-__all__ = [
-    "ShardWorkerPool",
-    "SharedSlabSet",
-    "attach_slab",
-    "parallel_map",
-    "run_commands",
-]
+__all__ = ["parallel_map", "run_commands"]
 
 #: Estimated wall-clock cost of spinning up a worker pool (fork/spawn +
 #: interpreter bootstrap + initializer imports).  A map whose *total*
@@ -207,200 +193,3 @@ def run_commands(commands, *, workers: int = 1) -> list[int]:
             return [_traced_call(ic) for ic in indexed]
         with ThreadPoolExecutor(max_workers=min(workers, len(commands))) as pool:
             return list(pool.map(_traced_call, indexed))
-
-
-# -- shared-memory slabs ----------------------------------------------------
-
-
-def _discard_segment(shm) -> None:
-    """Best-effort close + unlink.
-
-    ``close`` raises ``BufferError`` while ndarray views over the
-    segment are still alive; the unlink must happen regardless — it
-    only removes the name, and the memory is freed once the last
-    mapping (ours or a worker's) goes away.
-    """
-    try:
-        shm.close()
-    except Exception:
-        pass
-    try:
-        shm.unlink()
-    except Exception:  # pragma: no cover - already removed
-        pass
-
-
-def _release_slabs(slabs: dict) -> None:
-    for shm in slabs.values():
-        _discard_segment(shm)
-    slabs.clear()
-
-
-class SharedSlabSet:
-    """Named, grow-only int64 shared-memory slabs (parent side).
-
-    ``ensure(key, shape)`` returns a zero-copy ndarray view over a
-    ``multiprocessing.shared_memory`` segment plus the segment name a
-    worker needs to map the same bytes (:func:`attach_slab`).  Segments
-    are reused across calls and reallocated only when a request outgrows
-    the existing capacity — the allocate-once contract of the sharded
-    stepping core.  All segments are unlinked on :meth:`close` (also
-    registered as a GC finalizer, so leaked sets still release their
-    memory).
-    """
-
-    def __init__(self):
-        self._slabs: dict[str, shared_memory.SharedMemory] = {}
-        self._finalizer = weakref.finalize(self, _release_slabs, self._slabs)
-
-    def ensure(self, key: str, shape) -> tuple[np.ndarray, str]:
-        """A view of at least ``shape`` int64s under ``key`` + its name."""
-        nbytes = max(8, int(np.prod(shape)) * 8)
-        shm = self._slabs.get(key)
-        if shm is None or shm.size < nbytes:
-            if shm is not None:
-                _discard_segment(shm)
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._slabs[key] = shm
-        return np.ndarray(shape, dtype=np.int64, buffer=shm.buf), shm.name
-
-    def close(self) -> None:
-        """Unlink every segment now (idempotent)."""
-        self._finalizer()
-
-
-def attach_slab(cache: dict, key: str, name: str, shape) -> np.ndarray:
-    """Worker-side map of a named slab as an int64 ndarray view.
-
-    ``cache`` persists attachments across runs keyed by slab role; when
-    the parent grows a slab (new segment name) the stale attachment is
-    closed and replaced.  Attaching must not register the segment with
-    this process's ``resource_tracker`` — the parent owns the
-    lifecycle, and double-tracking makes worker exit spuriously unlink
-    (spawn: own tracker) or clobber the parent's registration (fork:
-    shared tracker) — CPython issue 39959.  Python 3.13 grew a
-    ``track=False`` parameter for exactly this; below, registration is
-    suppressed for the duration of the attach instead.
-    """
-    entry = cache.get(key)
-    if entry is None or entry[0] != name:
-        if entry is not None:
-            entry[1].close()
-        from multiprocessing import resource_tracker
-
-        original_register = resource_tracker.register
-        try:
-            resource_tracker.register = lambda *a, **k: None
-            shm = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
-        cache[key] = (name, shm)
-    return np.ndarray(shape, dtype=np.int64, buffer=cache[key][1].buf)
-
-
-# -- persistent shard worker pool -------------------------------------------
-
-
-def _drain_pool(procs, conns) -> None:
-    for conn in conns:
-        try:
-            conn.send(("stop",))
-        except Exception:
-            pass
-    for proc in procs:
-        proc.join(timeout=2.0)
-        if proc.is_alive():  # pragma: no cover - hung worker
-            proc.terminate()
-            proc.join(timeout=2.0)
-    for conn in conns:
-        try:
-            conn.close()
-        except Exception:
-            pass
-    procs.clear()
-    conns.clear()
-
-
-class ShardWorkerPool:
-    """``nworkers`` persistent processes advancing in lockstep rounds.
-
-    Each worker runs ``main(rank, nworkers, barrier, conn)`` — a loop
-    that receives ``("run", spec)`` messages over its pipe, executes
-    barrier-synchronized rounds against shared-memory slabs, and replies
-    ``("done", result)`` or ``("error", "ExcType|message")``.  The pool
-    (processes + barrier) persists across runs, so repeated stepping
-    runs pay no process spin-up; workers are daemonic and additionally
-    reaped by a GC finalizer.
-
-    The barrier is created by the parent and handed to each worker at
-    ``Process`` construction — the one channel through which
-    synchronization primitives are legal under *every* start method.
-    """
-
-    def __init__(self, nworkers: int, main, *, start_method: str | None = None):
-        self.nworkers = int(nworkers)
-        self._main = main
-        self._start_method = start_method
-        self._procs: list = []
-        self._conns: list = []
-        self._barrier = None
-        self._finalizer = weakref.finalize(
-            self, _drain_pool, self._procs, self._conns
-        )
-
-    @property
-    def running(self) -> bool:
-        return bool(self._procs) and all(p.is_alive() for p in self._procs)
-
-    def _start(self) -> None:
-        _drain_pool(self._procs, self._conns)
-        ctx = _mp_context(self._start_method)
-        self._barrier = ctx.Barrier(self.nworkers)
-        for rank in range(self.nworkers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=self._main,
-                args=(rank, self.nworkers, self._barrier, child_conn),
-                name=f"repro-shard-{rank}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-
-    def run(self, spec: dict) -> list:
-        """One lockstep run: broadcast ``spec``, gather every reply.
-
-        Returns the per-rank result payloads.  If any worker reports an
-        error the barrier is reset for the next run and a
-        ``RuntimeError`` is raised — re-labelled with the worker's
-        original exception type and message (shards raise deterministic
-        errors like the livelock guard in unison; the first concrete
-        message wins over peers' "aborted by peer" reports).
-        """
-        if not self.running:
-            self._start()
-        for conn in self._conns:
-            conn.send(("run", spec))
-        replies = []
-        for conn in self._conns:
-            try:
-                replies.append(conn.recv())
-            except EOFError:  # pragma: no cover - worker died hard
-                replies.append(("error", "RuntimeError|shard worker died"))
-        errors = [r for r in replies if r[0] == "error"]
-        if errors:
-            self._barrier.reset()
-            concrete = [
-                e[1] for e in errors if not e[1].startswith("BrokenBarrierError|")
-            ]
-            kind, _, message = (concrete or [e[1] for e in errors])[0].partition("|")
-            if kind == "RuntimeError":
-                raise RuntimeError(message)
-            raise RuntimeError(f"shard worker failed: {kind}: {message}")
-        return [r[1] for r in replies]
-
-    def close(self) -> None:
-        """Stop and reap every worker (idempotent)."""
-        self._finalizer()

@@ -110,9 +110,6 @@ class MeshBackend:
     engine : {"model", "cycle"}
         Execution engine for the access protocol; ``model`` by default so
         PRAM programs of many steps stay fast.
-    shards : int, optional
-        Submesh shard count for the cycle engine (forwarded to
-        :class:`AccessProtocol`; ``None`` reads ``$REPRO_SHARDS``).
     faults : FaultInjector, optional
         Forwarded to :class:`AccessProtocol`; single-step calls tick
         the injector's fault-schedule clock exactly like the batched
@@ -126,13 +123,11 @@ class MeshBackend:
         *,
         engine: str = "model",
         cost_model: CostModel | None = None,
-        shards: int | None = None,
         faults=None,
     ):
         self.scheme = scheme
         self.protocol = AccessProtocol(
-            scheme, engine=engine, cost_model=cost_model, shards=shards,
-            faults=faults,
+            scheme, engine=engine, cost_model=cost_model, faults=faults,
         )
         self.memory_size = scheme.num_variables
         self.max_requests = scheme.params.n

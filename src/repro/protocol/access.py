@@ -26,7 +26,6 @@ Two execution engines:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,11 +193,6 @@ class AccessProtocol:
         recomputing ``placement.chains`` for the selected copies.
         Disable only to benchmark the legacy per-step recomputation
         (selections and metrics are identical either way).
-    shards : int, optional
-        Submesh shard count for the cycle engine's stepping loop
-        (bit-identical results; shards only change wall-clock).
-        ``None`` reads ``$REPRO_SHARDS`` (default 1).  Ignored by the
-        model engine, which routes nothing.
     """
 
     def __init__(
@@ -209,23 +203,17 @@ class AccessProtocol:
         cost_model: CostModel | None = None,
         faults: FaultInjector | None = None,
         reuse: bool = True,
-        shards: int | None = None,
     ):
         if engine not in ("cycle", "model"):
             raise ValueError(f"engine must be 'cycle' or 'model', got {engine!r}")
-        if shards is None:
-            shards = int(os.environ.get("REPRO_SHARDS", "1") or "1")
         self.scheme = scheme
         self.engine = engine
         self.cost_model = cost_model or CostModel()
         self.faults = faults
         self.reuse = reuse
         self._sync = (
-            SynchronousEngine(scheme.mesh, shards=shards)
-            if engine == "cycle"
-            else None
+            SynchronousEngine(scheme.mesh) if engine == "cycle" else None
         )
-        self.shards = self._sync.shards if self._sync is not None else 1
 
     # -- public API -----------------------------------------------------------
 

@@ -19,6 +19,7 @@ a live server (or boots an in-process one on an ephemeral port).
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,7 +357,12 @@ async def _drive_client(
     seed: int,
     pipeline: int,
     machine: int | None,
-) -> ClientScript:
+) -> tuple[ClientScript, list[float]]:
+    """Drive one scripted client to completion.
+
+    Returns the script and the send→outcome interval of every request
+    that got an outcome, in seconds on the client's clock.
+    """
     client = await ServeClient.connect(
         host, port, tenant=f"t{index}", machine=machine
     )
@@ -364,18 +370,26 @@ async def _drive_client(
         index, clients, seed, client.num_variables, batch, requests
     )
     cap = max(1, min(pipeline, client.inflight_max))
+    sent_at: dict[int, float] = {}
+    latencies: list[float] = []
     inflight = 0
     try:
         while script.has_more() or inflight:
             while script.has_more() and inflight < cap:
-                await client.send(script.next_request())
+                msg = script.next_request()
+                sent_at[msg.id] = time.perf_counter()
+                await client.send(msg)
                 inflight += 1
-            script.on_reply(await client.recv_outcome())
+            outcome = await client.recv_outcome()
+            arrived = time.perf_counter()
+            if outcome.id in sent_at:
+                latencies.append(arrived - sent_at.pop(outcome.id))
+            script.on_reply(outcome)
             inflight -= 1
         await client.request(wire.Bye(), on_outcome=script.on_reply)
     finally:
         await client.close()
-    return script
+    return script, latencies
 
 
 async def run_fleet_async(
@@ -393,7 +407,7 @@ async def run_fleet_async(
 ) -> FleetReport:
     """Drive a seeded fleet against a listening server, then pull stats
     (and optionally the certification verdict / a shutdown)."""
-    scripts = await asyncio.gather(
+    driven = await asyncio.gather(
         *(
             _drive_client(
                 host,
@@ -409,6 +423,7 @@ async def run_fleet_async(
             for i in range(clients)
         )
     )
+    scripts = [script for script, _ in driven]
     control = await ServeClient.connect(host, port, tenant="fleet-control")
     try:
         stats = await control.request(wire.Stats())

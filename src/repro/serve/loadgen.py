@@ -25,47 +25,13 @@ import time
 import numpy as np
 
 from repro.serve import protocol as wire
-from repro.serve.client import ClientScript, ServeClient
+from repro.serve.client import ServeClient, _drive_client
 
 __all__ = ["run_loadgen"]
 
 
-async def _timed_client(
-    host: str,
-    port: int,
-    index: int,
-    *,
-    clients: int,
-    requests: int,
-    batch: int,
-    seed: int,
-    pipeline: int,
-) -> dict:
-    """Drive one scripted client, timing every send→outcome interval."""
-    client = await ServeClient.connect(host, port, tenant=f"t{index}")
-    script = ClientScript(
-        index, clients, seed, client.num_variables, batch, requests
-    )
-    cap = max(1, min(pipeline, client.inflight_max))
-    sent_at: dict[int, float] = {}
-    latencies: list[float] = []
-    inflight = 0
-    try:
-        while script.has_more() or inflight:
-            while script.has_more() and inflight < cap:
-                msg = script.next_request()
-                sent_at[msg.id] = time.perf_counter()
-                await client.send(msg)
-                inflight += 1
-            outcome = await client.recv_outcome()
-            arrived = time.perf_counter()
-            if outcome.id in sent_at:
-                latencies.append(arrived - sent_at.pop(outcome.id))
-            script.on_reply(outcome)
-            inflight -= 1
-        await client.request(wire.Bye(), on_outcome=script.on_reply)
-    finally:
-        await client.close()
+def _tenant_row(script, latencies) -> dict:
+    """One tenant's frontier entry."""
     lat = np.asarray(latencies, dtype=np.float64)
     return {
         "tenant": script.tenant,
@@ -75,7 +41,6 @@ async def _timed_client(
         "mesh_steps": script.mesh_steps,
         "latency_p50": float(np.percentile(lat, 50)) if len(lat) else None,
         "latency_p99": float(np.percentile(lat, 99)) if len(lat) else None,
-        "_latencies": lat,
     }
 
 
@@ -115,9 +80,9 @@ async def _drive_sample(
     shutdown: bool,
 ) -> dict:
     t0 = time.perf_counter()
-    tenants = await asyncio.gather(
+    driven = await asyncio.gather(
         *(
-            _timed_client(
+            _drive_client(
                 host,
                 port,
                 i,
@@ -126,11 +91,13 @@ async def _drive_sample(
                 batch=batch,
                 seed=seed,
                 pipeline=pipeline,
+                machine=None,
             )
             for i in range(fleet)
         )
     )
     wall = time.perf_counter() - t0
+    tenants = [_tenant_row(script, latencies) for script, latencies in driven]
     all_stats = await _collect_stats(host, port, procs)
     if shutdown:
         control = await ServeClient.connect(
@@ -140,9 +107,8 @@ async def _drive_sample(
             await control.request(wire.Shutdown())
         finally:
             await control.close()
-    all_lat = np.concatenate(
-        [t["_latencies"] for t in tenants if len(t["_latencies"])]
-        or [np.empty(0)]
+    all_lat = np.asarray(
+        [t for _, latencies in driven for t in latencies], dtype=np.float64
     )
     delivered = sum(t["delivered"] for t in tenants)
     # Amortization comes from the server's per-machine ledger: each
@@ -171,10 +137,7 @@ async def _drive_sample(
             float(np.percentile(all_lat, 99)) if len(all_lat) else None
         ),
         "counters": counters,
-        "per_tenant": [
-            {k: v for k, v in t.items() if not k.startswith("_")}
-            for t in tenants
-        ],
+        "per_tenant": tenants,
     }
 
 

@@ -1,11 +1,9 @@
 """Bit-equivalence of the sharded stepping core against the single core.
 
-The contract (ISSUE 6): :class:`ShardedSteppingCore` must reproduce the
+The contract: :class:`ShardedSteppingCore` must reproduce the
 single-shard :class:`SteppingCore` *exactly* — ``steps``,
 ``total_hops``, ``max_queue`` and ``node_traffic`` per batch — for
-every shard count, on both drivers (in-process and shared-memory
-process pool), under both start methods, and end to end through the
-access protocol.  The golden file pins the lineage: sharded results
+every shard count.  The golden file pins the lineage: sharded results
 must match the frozen seed-engine outputs, not merely today's core.
 """
 
@@ -15,15 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.mesh import (
-    Mesh,
-    PacketBatch,
-    ShardedSteppingCore,
-    SteppingCore,
-    SynchronousEngine,
-    resolve_shards,
-)
-from repro.mesh.engine import _OccupancyHistogram
+from repro.mesh import Mesh, SteppingCore
+from repro.mesh.engine_shard import ShardedSteppingCore
 
 GOLDEN = Path(__file__).parent / "data" / "golden_engine.json"
 
@@ -65,16 +56,6 @@ def _assert_results_equal(ref, got):
         np.testing.assert_array_equal(r.node_traffic, g.node_traffic)
 
 
-def test_resolve_shards_rounds_to_power_of_two():
-    assert resolve_shards(1, 16) == 1
-    assert resolve_shards(0, 16) == 1
-    assert resolve_shards(2, 16) == 2
-    assert resolve_shards(3, 16) == 2
-    assert resolve_shards(4, 16) == 4
-    assert resolve_shards(5, 8) == 4
-    assert resolve_shards(64, 8) == 8  # clamped to one row per shard
-
-
 @pytest.mark.parametrize("shards", [2, 4])
 @pytest.mark.parametrize(
     "case", _golden_cases(), ids=lambda c: f"{c['ports']}-seed{c['seed']}"
@@ -82,9 +63,7 @@ def test_resolve_shards_rounds_to_power_of_two():
 def test_sharded_matches_seed_golden_output(case, shards):
     """The sharded core reproduces the *frozen seed-engine* outputs."""
     mesh, src, dst = _rebuild_batch(case)
-    core = ShardedSteppingCore(
-        mesh, case["ports"], shards=shards, processes=False
-    )
+    core = ShardedSteppingCore(mesh, case["ports"], shards=shards)
     res = core.run([(src, dst)])[0]
     assert res.steps == case["steps"]
     assert res.total_hops == case["total_hops"]
@@ -95,34 +74,15 @@ def test_sharded_matches_seed_golden_output(case, shards):
 
 @pytest.mark.parametrize("curve", ["morton", "hilbert"])
 @pytest.mark.parametrize("ports", ["multi", "single"])
-@pytest.mark.parametrize("shards", [1, 2, 4])
+@pytest.mark.parametrize("shards", [2, 4])
 def test_sharded_matches_single_core(shards, ports, curve):
     """Full RouteResult parity (incl. max_queue) across shard counts,
     both port models, both space-filling curves."""
     mesh = Mesh(16, curve=curve)
     batches = _random_batches(mesh, seed=100 + shards)
     ref = SteppingCore(mesh, ports).run(batches)
-    core = ShardedSteppingCore(mesh, ports, shards=shards, processes=False)
+    core = ShardedSteppingCore(mesh, ports, shards=shards)
     _assert_results_equal(ref, core.run(batches))
-
-
-def test_sharded_occupancy_hook_is_exact():
-    """The per-step occupancy vectors handed to a plain callable are the
-    single core's, element for element, step for step."""
-    mesh = Mesh(8)
-    batches = _random_batches(mesh, seed=9)
-
-    def collect(sink):
-        return lambda occ: sink.append(occ.copy())
-
-    ref_steps, got_steps = [], []
-    SteppingCore(mesh).run(batches, occupancy=collect(ref_steps))
-    ShardedSteppingCore(mesh, shards=4, processes=False).run(
-        batches, occupancy=collect(got_steps)
-    )
-    assert len(ref_steps) == len(got_steps)
-    for a, b in zip(ref_steps, got_steps):
-        np.testing.assert_array_equal(a, b)
 
 
 def test_sharded_livelock_guard_matches_single_core():
@@ -134,15 +94,11 @@ def test_sharded_livelock_guard_matches_single_core():
     with pytest.raises(RuntimeError, match="stuck") as ref_err:
         SteppingCore(mesh).run(batches, max_steps=[50, 2])
     with pytest.raises(RuntimeError, match="stuck") as got_err:
-        ShardedSteppingCore(mesh, shards=2, processes=False).run(
-            batches, max_steps=[50, 2]
-        )
+        ShardedSteppingCore(mesh, shards=2).run(batches, max_steps=[50, 2])
     assert str(ref_err.value) == str(got_err.value)
     # The same caps succeed when every batch fits within its own.
     ref = SteppingCore(mesh).run(batches, max_steps=[50, 50])
-    got = ShardedSteppingCore(mesh, shards=2, processes=False).run(
-        batches, max_steps=[50, 50]
-    )
+    got = ShardedSteppingCore(mesh, shards=2).run(batches, max_steps=[50, 50])
     _assert_results_equal(ref, got)
 
 
@@ -153,157 +109,13 @@ def test_sharded_stamp_overflow_rejected():
     batch = [(np.array([0, 1]), np.array([15, 14]))]
     # P = 3 and S = (diameter + 1) * P = 21.
     fits = (2**63 - 1) // 21
-    core = ShardedSteppingCore(mesh, shards=2, processes=False)
+    core = ShardedSteppingCore(mesh, shards=2)
     (res,) = core.run(batch, max_steps=fits)
     assert res.steps == mesh.diameter
     with pytest.raises(ValueError, match="overflows int64"):
         core.run(batch, max_steps=fits + 1)
-
-
-def test_observer_hook_delegates_to_single_core():
-    """Observed runs fall back to the exact single-core loop (the hook
-    exposes single-core array layout)."""
-    mesh = Mesh(4)
-    seen = []
-    core = ShardedSteppingCore(mesh, shards=2, processes=False)
-    res = core.run(
-        [(np.array([0, 3]), np.array([15, 12]))],
-        observer=lambda rec: seen.append(rec["step"]),
-    )
-    ref = SteppingCore(mesh).run([(np.array([0, 3]), np.array([15, 12]))])
-    _assert_results_equal(ref, res)
-    assert seen == list(range(len(seen))) and seen
-
-
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_process_pool_matches_single_core(start_method):
-    """The shared-memory pool driver is bit-identical too — and the
-    persistent pool survives reuse and a mid-run livelock error."""
-    import multiprocessing
-
-    if start_method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"{start_method} unavailable")
-    mesh = Mesh(16)
-    batches = _random_batches(mesh, seed=42, counts=(300, 7))
-    ref = SteppingCore(mesh).run(batches)
-    core = ShardedSteppingCore(
-        mesh, shards=4, processes=True, start_method=start_method
-    )
-    try:
-        _assert_results_equal(ref, core.run(batches))
-        _assert_results_equal(ref, core.run(batches))  # pool + slab reuse
-        with pytest.raises(RuntimeError, match="stuck"):
-            core.run([(np.array([0]), np.array([255]))], max_steps=3)
-        # The pool recovers after the barrier abort.
-        _assert_results_equal(ref, core.run(batches))
-    finally:
-        core.close()
-
-
-def test_process_pool_histogram_aggregation():
-    """Shard-local occupancy bins merged via ``add_bins`` equal the
-    single core's per-step histogram exactly."""
-    mesh = Mesh(8)
-    batches = _random_batches(mesh, seed=5)
-    ref_hist, got_hist = _OccupancyHistogram(), _OccupancyHistogram()
-    SteppingCore(mesh).run(batches, occupancy=ref_hist)
-    core = ShardedSteppingCore(mesh, shards=2, processes=True)
-    try:
-        core.run(batches, occupancy=got_hist)
-    finally:
-        core.close()
-    size = max(ref_hist.bins.size, got_hist.bins.size)
-    ref_bins = np.zeros(size, dtype=np.int64)
-    got_bins = np.zeros(size, dtype=np.int64)
-    ref_bins[: ref_hist.bins.size] = ref_hist.bins
-    got_bins[: got_hist.bins.size] = got_hist.bins
-    np.testing.assert_array_equal(ref_bins, got_bins)
-
-
-def test_engine_with_shards_routes_identically():
-    mesh = Mesh(16)
-    rng = np.random.default_rng(3)
-    batches = [
-        PacketBatch(rng.integers(0, mesh.n, c), rng.integers(0, mesh.n, c))
-        for c in (40, 300)
-    ]
-    ref = SynchronousEngine(mesh).route_many(batches)
-    engine = SynchronousEngine(mesh, shards=2)
-    assert engine.shards == 2
-    try:
-        got = engine.route_many(batches)
-    finally:
-        engine.close()
-    for r, g in zip(ref, got):
-        assert (r.steps, r.total_hops, r.max_queue) == (
-            g.steps,
-            g.total_hops,
-            g.max_queue,
-        )
-        np.testing.assert_array_equal(r.node_traffic, g.node_traffic)
-
-
-def test_engine_traces_shard_lanes():
-    """The obs layer sees per-shard lane spans and the halo counter."""
-    import repro.obs as obs
-
-    mesh = Mesh(8)
-    rng = np.random.default_rng(11)
-    batch = PacketBatch(rng.integers(0, mesh.n, 80), rng.integers(0, mesh.n, 80))
-    engine = SynchronousEngine(mesh, shards=2)
-    try:
-        with obs.capture() as tracer:
-            engine.route(batch)
-    finally:
-        engine.close()
-    lanes = {
-        e.get("lane")
-        for e in tracer.events
-        if e.get("name") == "engine.shard_rounds"
-    }
-    assert lanes == {"shard[0]", "shard[1]"}
-    assert tracer.counters.get("engine.halo_packets", 0) > 0
-    assert tracer.counters.get("engine.shard_runs") == 1
-
-
-def test_protocol_shards_knob_is_equivalence_neutral(tiny_scheme):
-    """AccessProtocol(shards=2) returns the exact shards=1 metrics."""
-    from repro.protocol import AccessProtocol
-
-    variables = np.arange(0, 40, dtype=np.int64) * 3 % tiny_scheme.num_variables
-    variables = np.unique(variables)
-    ref = AccessProtocol(tiny_scheme, engine="cycle", shards=1).read(variables)
-    proto = AccessProtocol(tiny_scheme, engine="cycle", shards=2)
-    assert proto.shards == 2
-    got = proto.read(variables)
-    assert ref.total_steps == got.total_steps
-    assert [s.route_steps for s in ref.stages] == [
-        s.route_steps for s in got.stages
-    ]
-    assert ref.return_steps == got.return_steps
-    np.testing.assert_array_equal(ref.values, got.values)
-
-
-@pytest.fixture
-def tiny_scheme():
-    from repro.hmos import HMOS
-
-    return HMOS(n=64, alpha=1.5, q=3, k=1)
-
-
-def test_shards_env_and_cli_threading(tiny_scheme, monkeypatch, capsys):
-    from repro.cli import main
-    from repro.pram import MeshBackend
-    from repro.protocol import AccessProtocol
-
-    monkeypatch.setenv("REPRO_SHARDS", "2")
-    assert AccessProtocol(tiny_scheme, engine="cycle").shards == 2
-    assert MeshBackend(tiny_scheme, engine="cycle").protocol.shards == 2
-    # Explicit argument beats the environment.
-    assert AccessProtocol(tiny_scheme, engine="cycle", shards=1).shards == 1
-    # Model engine routes nothing; the knob is inert there.
-    assert AccessProtocol(tiny_scheme, engine="model").shards == 1
-    monkeypatch.delenv("REPRO_SHARDS")
-    assert main(["step", "--n", "64", "--k", "1", "--shards", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "T_sim measured" in out
+    # The shard count is taken as given: at least 2, dividing the side.
+    assert ShardedSteppingCore(mesh, shards=4).shards == 4
+    for bad in (0, 1, 3, 8):
+        with pytest.raises(ValueError, match="divide side 4"):
+            ShardedSteppingCore(mesh, shards=bad)

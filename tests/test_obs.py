@@ -10,7 +10,7 @@ import pytest
 import repro.obs as obs
 from repro.hmos import HMOS
 from repro.hmos.faults import FaultInjector
-from repro.mesh import Mesh, PacketBatch, SynchronousEngine
+from repro.mesh import Mesh, PacketBatch, SteppingCore, SynchronousEngine
 from repro.protocol import AccessProtocol, SimulationReport
 from repro.protocol.access import StepRequest
 
@@ -239,6 +239,18 @@ class TestEngineInstrumentation:
         hist = t.histograms["engine.queue_occupancy"]
         observed_max = max(i for i, c in enumerate(hist) if c)
         assert observed_max == res.max_queue
+        # The traced bins are the per-step occupancy vectors, binned
+        # and summed: nothing dropped, merged or double-counted.
+        samples = []
+        SteppingCore(mesh).run(
+            [(batch.src, batch.dst)],
+            occupancy=lambda occ: samples.append(occ.copy()),
+        )
+        expected = np.zeros(max(s.max() for s in samples) + 1, dtype=np.int64)
+        for occ in samples:
+            counts = np.bincount(occ)
+            expected[: counts.size] += counts
+        np.testing.assert_array_equal(hist, expected)
 
 
 class TestProtocolInstrumentation:

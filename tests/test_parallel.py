@@ -18,7 +18,7 @@ import repro.check.fuzz as fuzz_mod
 from repro.check.case import CaseSpec, StepSpec, load_artifact
 from repro.check.fuzz import run_fuzz_parallel, shrink_case
 from repro.check.generate import feasible_configs, random_cases
-from repro.parallel import SharedSlabSet, parallel_map, run_commands
+from repro.parallel import parallel_map, run_commands
 
 
 def _square(x):
@@ -83,23 +83,6 @@ def test_parallel_map_explicit_chunksize():
         _square, items, workers=2, oversubscribe=True, chunksize=5
     )
     assert out == [x * x for x in items]
-
-
-def test_shared_slab_set_grow_only_reuse():
-    slabs = SharedSlabSet()
-    try:
-        view, name = slabs.ensure("state", (2, 8))
-        view[...] = 7
-        again, name2 = slabs.ensure("state", (4, 4))  # same bytes, new shape
-        assert name2 == name
-        assert again.shape == (4, 4)
-        np.testing.assert_array_equal(again.reshape(-1), np.full(16, 7))
-        grown, name3 = slabs.ensure("state", (8, 8))  # outgrows: new segment
-        assert name3 != name
-        assert grown.shape == (8, 8)
-    finally:
-        slabs.close()
-    slabs.close()  # idempotent
 
 
 def test_run_commands_collects_exit_codes():
