@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.culling.procedure import CullingResult, IterationStats, _mark_with_cap
+from repro.culling.procedure import (
+    CullingResult,
+    IterationStats,
+    _mark_with_cap,
+    _max_page_load,
+)
 from repro.hmos.copytree import access_mask, extract_min_target_set
 from repro.hmos.scheme import HMOS
 from repro.mesh.costmodel import CostModel
@@ -106,34 +111,27 @@ def cull_with_faults(
             assert feas.all()
             selected[rows] = chosen
 
-    v_grid = np.repeat(variables, red)
-    p_grid = np.tile(np.arange(red, dtype=np.int64), n_req)
     if chains is None:
-        chains = scheme.placement.chains(v_grid, p_grid).reshape(n_req, red, k)
+        chains = scheme.placement.chains(variables)
     else:
         chains = np.asarray(chains, dtype=np.int64).reshape(n_req, red, k)
+    paths = np.arange(red, dtype=np.int64)
 
     stats: list[IterationStats] = []
     charged = 0.0
     for level in range(1, k + 1):
         cap = params.culling_cap(level)
         keys = scheme.placement.page_keys(
-            level, v_grid, p_grid, chains=chains.reshape(-1, k)
-        ).reshape(n_req, red)
+            level, variables[:, None], paths, chains=chains
+        )
         marked = _mark_with_cap(keys, selected, cap)
         feasible, chosen, added = extract_min_target_set(
-            marked & selected, selected, q, k, level
+            marked, selected, q, k, level
         )
         # Variables too damaged for this level keep their selection.
         keep = ~feasible
         chosen[keep] = selected[keep]
         selected = chosen
-        sel_keys = keys[selected]
-        max_load = (
-            int(np.unique(sel_keys, return_counts=True)[1].max())
-            if sel_keys.size
-            else 0
-        )
         stats.append(
             IterationStats(
                 level=level,
@@ -141,7 +139,7 @@ def cull_with_faults(
                 marked=int(marked.sum()),
                 augmented_variables=int((added[feasible] > 0).sum()),
                 augmented_copies=int(added[feasible].sum()),
-                max_page_load=max_load,
+                max_page_load=_max_page_load(keys, selected),
             )
         )
         charged += cost_model.sort_steps(red, params.n) + red

@@ -19,6 +19,14 @@ Cost accounting follows Eq. (2): each iteration sorts/ranks the <= q^k n
 selected copies by destination page (``O(q^k sqrt(n))`` mesh steps) and
 does ``O(q^k)`` local work per processor, so
 ``T_culling = O(k q^k sqrt(n))``.
+
+The host does the same work without per-row sorts: every copy's module
+chain comes from one neighbour lookup per copy-tree node
+(``Placement.chains(variables)``), a histogram of the selected copies'
+page keys finds the pages over their cap (only their copies are
+ranked) and gives the ``max_page_load`` diagnostic, and the
+per-variable extraction is a table lookup for small trees
+(:mod:`repro.hmos.copytree`).
 """
 
 from __future__ import annotations
@@ -85,13 +93,26 @@ def _mark_with_cap(keys: np.ndarray, selected: np.ndarray, cap: int) -> np.ndarr
     Deterministic: copies are ranked within their page by (variable row,
     path) order; the first ``cap`` win.  Marking is maximal — a page with
     more than ``cap`` selected copies gets exactly ``cap`` marked — which
-    the Theorem 3 proof requires.
+    the Theorem 3 proof requires.  A histogram of the selected copies'
+    keys finds the crowded pages; only their copies are ranked.
     """
-    marked = np.zeros_like(selected)
+    marked = selected.copy()
     sel_idx = np.flatnonzero(selected)
-    win = rank_within_groups(keys.reshape(-1)[sel_idx]) < cap
-    marked.reshape(-1)[sel_idx[win]] = True
+    sel_keys = keys.reshape(-1)[sel_idx]
+    crowded = np.bincount(sel_keys)[sel_keys] > cap
+    losers = rank_within_groups(sel_keys[crowded]) >= cap
+    marked.reshape(-1)[sel_idx[crowded][losers]] = False
     return marked
+
+
+def _max_page_load(keys: np.ndarray, selected: np.ndarray) -> int:
+    """Most selected copies on one page (0 when nothing is selected).
+
+    Page keys are below ``params.num_pages(level)``, which bounds the
+    histogram's length.
+    """
+    sel_keys = keys.reshape(-1)[np.flatnonzero(selected)]
+    return int(np.bincount(sel_keys, minlength=1).max())
 
 
 def cull(
@@ -153,37 +174,24 @@ def cull(
 
     selected = scheme.initial_target_masks(n_req)
     paths = np.arange(red, dtype=np.int64)
-    # Chains are path-dependent but variable-batch friendly: compute the
-    # full (N, q^k, k) chain tensor once.
-    v_grid = np.repeat(variables, red)
-    p_grid = np.tile(paths, n_req)
-    chains = scheme.placement.chains(v_grid, p_grid).reshape(n_req, red, k)
+    chains = scheme.placement.chains(variables)  # (N, q^k, k), every copy
 
     stats: list[IterationStats] = []
     charged = 0.0
     for level in range(1, k + 1):
         cap = params.culling_cap(level)
         keys = scheme.placement.page_keys(
-            level, v_grid, p_grid, chains=chains.reshape(-1, k)
-        ).reshape(n_req, red)
+            level, variables[:, None], paths, chains=chains
+        )
         marked = _mark_with_cap(keys, selected, cap)
         feasible, chosen, added = extract_min_target_set(
-            marked & selected, selected, q, k, level
+            marked, selected, q, k, level
         )
         if not feasible.all():
             raise AssertionError(
                 "CULLING invariant violated: C^{i-1} lost its target set"
             )
         selected = chosen
-        # Diagnostics: page load after this iteration.  np.unique counts
-        # only the occupied pages; bincount would allocate an array as
-        # large as the biggest page *key* (m_level * q^(k-level) ids).
-        sel_keys = keys[selected.astype(bool)]
-        max_load = (
-            int(np.unique(sel_keys, return_counts=True)[1].max())
-            if sel_keys.size
-            else 0
-        )
         stats.append(
             IterationStats(
                 level=level,
@@ -191,7 +199,7 @@ def cull(
                 marked=int(marked.sum()),
                 augmented_variables=int((added > 0).sum()),
                 augmented_copies=int(added.sum()),
-                max_page_load=max_load,
+                max_page_load=_max_page_load(keys, selected),
             )
         )
         # Eq. (2): sort+rank the selected copies (q^k per processor) on

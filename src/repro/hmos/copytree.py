@@ -21,9 +21,18 @@ that the read/write protocol needs for consistency.
 
 Everything below is vectorized across a batch of variables: selection
 masks are boolean arrays of shape ``(N, q^k)``.
+
+CULLING's per-variable choice, :func:`extract_min_target_set`, is a
+bottom-up DP over the tree.  A leaf is not allowed, allowed or
+preferred, so a tree of ``q^k`` leaves has ``3^(q^k)`` patterns; for
+``q^k <= 9`` (the default q = 3, k = 2 among them) the DP runs once per
+``(q, k, level)`` over every pattern and a call is one table lookup per
+variable.  Larger trees run the DP on each call.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -37,6 +46,11 @@ __all__ = [
 ]
 
 _INF = np.int64(1) << 40  # sentinel cost for unreachable subtrees
+
+#: Largest tree (``q^k`` leaves) whose selections are tabulated: 3^9 =
+#: 19,683 patterns per level.  The next tree, q = 4 and k = 2, would
+#: need 3^16.
+_TABLE_MAX_LEAVES = 9
 
 
 def majority(q: int) -> int:
@@ -124,6 +138,10 @@ def extract_min_target_set(
     * of minimum total cost, i.e. it uses unmarked copies only when the
       marked ones alone do not contain a level-``level`` target set.
 
+    For trees of at most :data:`_TABLE_MAX_LEAVES` leaves the answer is
+    looked up: each row's leaf states form one base-3 code into a table
+    the DP filled once for every pattern (see :func:`_pattern_table`).
+
     Parameters
     ----------
     preferred, allowed : bool arrays, shape (N, q**k)
@@ -146,6 +164,38 @@ def extract_min_target_set(
         raise ValueError(f"masks must have shape (N, {leaves})")
     if np.any(preferred & ~allowed):
         raise ValueError("preferred must be a subset of allowed")
+    if leaves > _TABLE_MAX_LEAVES:
+        return _extract_dp(preferred, allowed, q, k, level)
+    feasible, chosen, added = _pattern_table(q, k, level)
+    # Leaf state 0 = not allowed, 1 = allowed, 2 = preferred.
+    codes = (allowed.astype(np.int64) + preferred) @ (3 ** np.arange(leaves))
+    return feasible[codes], chosen[codes], added[codes]
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_table(q: int, k: int, level: int) -> tuple[np.ndarray, ...]:
+    """:func:`_extract_dp` over all ``3^(q^k)`` leaf-state patterns.
+
+    Row ``c`` answers the pattern whose leaf j has state
+    ``(c // 3**j) % 3`` (0 = not allowed, 1 = allowed, 2 = preferred).
+    Built on first use and kept for the process; the arrays are
+    read-only.
+    """
+    leaves = q**k
+    states = np.arange(3**leaves)[:, None] // 3 ** np.arange(leaves) % 3
+    table = _extract_dp(states == 2, states >= 1, q, k, level)
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def _extract_dp(
+    preferred: np.ndarray, allowed: np.ndarray, q: int, k: int, level: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bottom-up DP behind :func:`extract_min_target_set` (checked
+    inputs).  It defines the selection, fills the pattern tables and
+    serves trees too large to tabulate."""
+    n = preferred.shape[0]
     thr = _thresholds(q, k, level)
 
     # Bottom-up cost pass.  cost[depth] has shape (N, q**depth).

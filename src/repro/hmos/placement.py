@@ -99,13 +99,27 @@ class Placement:
             )
         return self._digit_table
 
-    def chains(self, variables, paths) -> np.ndarray:
+    def chains(self, variables, paths=None) -> np.ndarray:
         """Module chain ``(u_1, ..., u_k)`` of each copy; shape (N, k).
 
         ``u_1`` is the level-1 module holding the copy, ``u_j`` the
         level-j module holding the enclosing level-(j-1) page.
+
+        Without ``paths``, returns the chains of *every* copy of each
+        variable, shape ``(N, q^k, k)``, indexed by path.  Paths are in
+        leaf order with ``e_1`` most significant, so level j's modules
+        are the q neighbours of level j-1's: one neighbour lookup per
+        tree node instead of one per copy and level.
         """
         variables = np.asarray(variables, dtype=np.int64)
+        if paths is None:
+            q, k = self.params.q, self.params.k
+            nodes = variables.reshape(-1, 1)  # the variables: level 0
+            out = np.empty((nodes.shape[0], q**k, k), dtype=np.int64)
+            for j in range(k):
+                nodes = self.graphs[j].neighbors(nodes).reshape(-1, q ** (j + 1))
+                out[:, :, j] = np.repeat(nodes, q ** (k - 1 - j), axis=1)
+            return out
         paths = np.asarray(paths, dtype=np.int64)
         variables, paths = np.broadcast_arrays(variables, paths)
         shape = variables.shape

@@ -412,17 +412,10 @@ class AccessProtocol:
                 tracer.count("protocol.reassigned_requests", int(moved.size))
 
         if self.faults is not None and self.faults.failed_nodes.size:
-            full_chains = None
-            if self.reuse:
-                # One full-grid chain derivation shared by the
-                # availability mask and fault-aware CULLING (which would
-                # otherwise each derive it independently).
-                red = params.redundancy
-                v_grid = np.repeat(variables, red)
-                p_grid = np.tile(np.arange(red, dtype=np.int64), variables.size)
-                full_chains = scheme.placement.chains(v_grid, p_grid).reshape(
-                    variables.size, red, params.k
-                )
+            # One full-grid chain derivation shared by the availability
+            # mask and fault-aware CULLING (which would otherwise each
+            # derive it independently).
+            full_chains = scheme.placement.chains(variables) if self.reuse else None
             culling_res: CullingResult = cull_with_faults(
                 scheme,
                 variables,

@@ -4,8 +4,12 @@ Every output of CULLING must be a minimal level-k target set per
 variable (Definition 2's access guarantee), the procedure must be a
 pure function of the request set, and re-running it on its own output
 must change nothing — the properties every refactor of the marking /
-extraction code has to preserve.
+extraction code has to preserve.  Page marking is also checked alone,
+on pages crowded past their cap, which CULLING runs at test sizes never
+reach.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.culling import audit_theorem3, cull
+from repro.culling.procedure import _mark_with_cap, _max_page_load
 from repro.hmos import HMOS
 from repro.hmos.copytree import is_target_set, target_set_size
 
@@ -34,6 +39,38 @@ def request_sets(draw):
         ),
         dtype=np.int64,
     )
+
+
+@st.composite
+def crowded_pages(draw):
+    """Page keys of an (N, q^k) copy grid over a few pages, a selection
+    and a marking cap of 1-4, so pages often hold more than ``cap``."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 9))
+    pages = draw(st.integers(1, 5))
+    size = rows * cols
+    keys = draw(st.lists(st.integers(0, pages - 1), min_size=size, max_size=size))
+    picks = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return (
+        np.array(keys, dtype=np.int64).reshape(rows, cols),
+        np.array(picks, dtype=bool).reshape(rows, cols),
+        draw(st.integers(1, 4)),
+    )
+
+
+@given(case=crowded_pages())
+def test_marking_and_page_load_match_reference_loop(case):
+    """Each page marks its first ``cap`` selected copies in row-major
+    (variable row, path) order; the page load is the largest count."""
+    keys, selected, cap = case
+    want = np.zeros_like(selected)
+    load = Counter()
+    for row, path in np.ndindex(*selected.shape):
+        if selected[row, path]:
+            page = keys[row, path]
+            want[row, path] = load[page] < cap
+            load[page] += 1
+    np.testing.assert_array_equal(_mark_with_cap(keys, selected, cap), want)
+    assert _max_page_load(keys, selected) == max(load.values(), default=0)
 
 
 class TestCullingProperties:

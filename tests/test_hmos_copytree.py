@@ -1,11 +1,15 @@
 """Tests for copy-tree access semantics and minimal target-set extraction."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hmos.copytree import (
+    _TABLE_MAX_LEAVES,
+    _extract_dp,
     access_mask,
     extract_min_target_set,
     is_target_set,
@@ -13,6 +17,15 @@ from repro.hmos.copytree import (
     supermajority,
     target_set_size,
 )
+
+#: Every tabulated tree and level: q >= 3 and q^k within the table limit.
+_TABULATED = [
+    (q, k, level)
+    for q in range(3, _TABLE_MAX_LEAVES + 1)
+    for k in range(1, _TABLE_MAX_LEAVES)
+    if q**k <= _TABLE_MAX_LEAVES
+    for level in range(k + 1)
+]
 
 
 class TestThresholds:
@@ -186,3 +199,16 @@ class TestExtraction:
         # Added counts are minimal in the simple saturating case:
         sat = preferred.all(axis=1)
         assert not np.any(added[sat & feasible])
+
+
+@pytest.mark.parametrize("q, k, level", _TABULATED)
+def test_table_equals_dp_on_every_leaf_pattern(q, k, level):
+    """The pattern table answers exactly as the DP on all 3^(q^k) patterns
+    (leaf state 0 = not allowed, 1 = allowed, 2 = preferred)."""
+    states = np.array(list(itertools.product(range(3), repeat=q**k)))
+    preferred, allowed = states == 2, states >= 1
+    got = extract_min_target_set(preferred, allowed, q, k, level)
+    want = _extract_dp(preferred, allowed, q, k, level)
+    for name, g, w in zip(("feasible", "chosen", "added"), got, want):
+        assert g.dtype == w.dtype, name
+        np.testing.assert_array_equal(g, w, err_msg=name)

@@ -48,6 +48,26 @@ class TestChains:
         chains = small.placement.chains(v, paths)
         assert len(set(chains[:, 0].tolist())) == q
 
+    @pytest.mark.parametrize("materialized", [False, True])
+    @pytest.mark.parametrize(
+        "q, k, n", [(3, 1, 64), (3, 2, 64), (3, 3, 256), (4, 2, 256), (5, 2, 256)]
+    )
+    def test_grid_chains_match_per_copy_chains(self, q, k, n, materialized):
+        """``chains(v)`` is the per-copy form over every path, in order."""
+        p = HMOSParams(n=n, alpha=1.5, q=q, k=k)
+        place = Placement(p)
+        if materialized:
+            for g in place.graphs:
+                g.materialize()
+        red = p.redundancy
+        v = np.random.default_rng(q * 10 + k).choice(
+            p.num_variables, size=min(40, p.num_variables), replace=False
+        )
+        per_copy = place.chains(np.repeat(v, red), np.tile(np.arange(red), v.size))
+        np.testing.assert_array_equal(place.chains(v), per_copy.reshape(v.size, red, k))
+        empty = place.chains(np.zeros(0, dtype=np.int64))
+        assert empty.shape == (0, red, k) and empty.dtype == np.int64
+
     def test_path_digit_order(self, small):
         place = small.placement
         q, k = small.params.q, small.params.k
