@@ -19,6 +19,7 @@ import numpy as np
 from repro.culling.procedure import (
     CullingResult,
     IterationStats,
+    _check_distinct,
     _mark_with_cap,
     _max_page_load,
 )
@@ -79,8 +80,7 @@ def cull_with_faults(
     """
     params = scheme.params
     variables = np.asarray(variables, dtype=np.int64)
-    if np.unique(variables).size != variables.size:
-        raise ValueError("request set must contain distinct variables")
+    _check_distinct(variables)
     allowed = np.asarray(allowed, dtype=bool)
     n_req = variables.size
     red = params.redundancy

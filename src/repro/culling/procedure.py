@@ -115,6 +115,17 @@ def _max_page_load(keys: np.ndarray, selected: np.ndarray) -> int:
     return int(np.bincount(sel_keys, minlength=1).max())
 
 
+def _check_distinct(variables: np.ndarray) -> None:
+    """Refuse a request set that names a variable twice.
+
+    Sorting and comparing neighbours is much cheaper than ``np.unique``;
+    ``axis=None`` flattens, so any shape is checked as a whole.
+    """
+    ordered = np.sort(variables, axis=None)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("request set must contain distinct variables")
+
+
 def cull(
     scheme: HMOS,
     variables: np.ndarray,
@@ -148,8 +159,7 @@ def cull(
     variables = np.asarray(variables, dtype=np.int64)
     if variables.ndim != 1:
         raise ValueError("variables must be a 1-D array")
-    if np.unique(variables).size != variables.size:
-        raise ValueError("request set must contain distinct variables")
+    _check_distinct(variables)
     if np.any((variables < 0) | (variables >= params.num_variables)):
         raise ValueError("variable id out of range")
     if variables.size > params.n:

@@ -11,11 +11,15 @@ lives in :mod:`repro.hmos.placement`).  A PRAM program touches few of
 the up to ``n^2 q^k`` copies (5.2e9 slots in E8's largest instance), so
 storage grows with the *touched variables* only:
 
-* a sorted int64 index of every variable ever written, looked up with
-  ``np.searchsorted`` (one trailing sentinel key, so every lookup lands
-  on a valid entry);
-* each index entry names one row of two appended ``(rows, q^k)`` int64
-  tables, the copies' values and timestamps, grown by doubling;
+* an open-addressing hash index maps each variable ever written to its
+  table row: two power-of-two int64 arrays of slot keys (-1 marks a free
+  slot) and slot rows (0 in every free slot), Fibonacci-hashed with one
+  extra mixing round and linearly probed, kept at most half full and
+  doubled when a write would fill it past that.  A lookup costs about
+  one gather per copy, and a write pays only for the variables it adds,
+  never for the ones already resident;
+* each row indexes two appended ``(rows, q^k)`` int64 tables, the
+  copies' values and timestamps, grown by doubling;
 * row 0 is never written and reads ``(0, -1)``: the machine's initial
   memory image, returned for every copy of an untouched variable.
 
@@ -33,7 +37,14 @@ from repro.hmos.params import HMOSParams
 __all__ = ["CopyMemory"]
 
 _UNWRITTEN_TS = -1
-_SENTINEL = np.iinfo(np.int64).max
+#: Key of a free index slot (variable ids are >= 0).
+_FREE = -1
+#: Slots of a fresh index (a power of two).
+_MIN_SLOTS = 1024
+#: The index keeps at least this many slots per key: at most half full.
+_SLOTS_PER_KEY = 2
+#: 2^64 / golden ratio, the Fibonacci hashing multiplier.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 class CopyMemory:
@@ -42,11 +53,32 @@ class CopyMemory:
     def __init__(self, params: HMOSParams):
         self.params = params
         red = params.redundancy
-        self._keys = np.array([_SENTINEL], dtype=np.int64)
-        self._rows = np.zeros(1, dtype=np.int64)
+        self._new_index(_MIN_SLOTS)
         self._values = np.zeros((1, red), dtype=np.int64)
         self._stamps = np.full((1, red), _UNWRITTEN_TS, dtype=np.int64)
         self._used = 1
+
+    def _new_index(self, size: int) -> None:
+        """Replace the index by an empty one of ``size`` slots."""
+        self._slot_keys = np.full(size, _FREE, dtype=np.int64)
+        self._slot_rows = np.zeros(size, dtype=np.int64)
+        self._shift = np.uint64(64 - (size.bit_length() - 1))
+
+    def _home(self, variables: np.ndarray) -> np.ndarray:
+        """Home slot of each variable.
+
+        Fibonacci hashing alone (the top bits of ``v * _GOLDEN mod
+        2^64``) packs some strided id sets into long runs: stride 2^16
+        modulo the 796,797 variables of n = 4096 put a key 137 slots past
+        its home.  Folding the high half down and multiplying again kept
+        every key within 28 slots of home on every id pattern tried
+        (contiguous, strided, 2-D blocks, random).
+        """
+        h = variables.view(np.uint64) * _GOLDEN
+        h ^= h >> np.uint64(32)
+        h *= _GOLDEN
+        h >>= self._shift
+        return h.view(np.int64)
 
     def _checked(self, variables, paths) -> tuple[np.ndarray, np.ndarray]:
         """Range-checked ``(variables, paths)``, broadcast together."""
@@ -63,8 +95,39 @@ class CopyMemory:
 
     def _rows_of(self, variables: np.ndarray) -> np.ndarray:
         """Table row of each variable; 0 (the unwritten row) if untouched."""
-        at = self._keys.searchsorted(variables)
-        return np.where(self._keys[at] == variables, self._rows[at], 0)
+        flat = variables.reshape(-1)
+        slots = self._home(flat)
+        rows = self._slot_rows[slots]
+        # key ^ v is 0 on a hit and negative on a free slot (-1 ^ v < 0
+        # for v >= 0): both answer with the slot's row.  Only queries
+        # whose slot holds another key probe on.
+        at = np.flatnonzero((self._slot_keys[slots] ^ flat) > 0)
+        if at.size:
+            mask = self._slot_keys.size - 1
+            want, slots = flat[at], slots[at]
+            while at.size:
+                slots = (slots + 1) & mask
+                rows[at] = self._slot_rows[slots]
+                on = (self._slot_keys[slots] ^ want) > 0
+                at, want, slots = at[on], want[on], slots[on]
+        return rows.reshape(variables.shape)
+
+    def _place(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """Enter distinct keys, none of them in the index, with their rows.
+
+        Every pending key whose slot is free writes itself there and
+        reads the slot back: exactly one writer per slot reads its own
+        key and wins.  The rest probe on to the next slot.
+        """
+        mask = self._slot_keys.size - 1
+        slots = self._home(keys)
+        while keys.size:
+            free = self._slot_keys[slots] == _FREE
+            self._slot_keys[slots[free]] = keys[free]
+            won = self._slot_keys[slots] == keys
+            self._slot_rows[slots[won]] = rows[won]
+            lost = ~won
+            keys, rows, slots = keys[lost], rows[lost], (slots[lost] + 1) & mask
 
     def write(self, variables, paths, values, timestamp: int) -> None:
         """Write ``values`` to the given copies, stamping ``timestamp``.
@@ -79,14 +142,25 @@ class CopyMemory:
         variables, paths = self._checked(variables, paths)
         variables = variables.reshape(-1)
         rows = self._rows_of(variables)
-        fresh = rows == 0
-        if fresh.any():
-            new = np.unique(variables[fresh])
+        fresh = np.flatnonzero(rows == 0)
+        if fresh.size:
+            fresh_vars = variables[fresh]
+            new = np.sort(fresh_vars)
+            first = np.ones(new.size, dtype=bool)
+            np.not_equal(new[1:], new[:-1], out=first[1:])
+            new = new[first]
             new_rows = self._append_rows(new.size)
-            at = self._keys.searchsorted(new)
-            self._keys = np.insert(self._keys, at, new)
-            self._rows = np.insert(self._rows, at, new_rows)
-            rows[fresh] = new_rows[new.searchsorted(variables[fresh])]
+            rows[fresh] = new_rows[new.searchsorted(fresh_vars)]
+            size = self._slot_keys.size
+            while _SLOTS_PER_KEY * (self._used - 1) > size:
+                size *= 2
+            if size > self._slot_keys.size:
+                # Grow: re-place every resident key with the new ones.
+                resident = self._slot_keys != _FREE
+                new = np.concatenate((self._slot_keys[resident], new))
+                new_rows = np.concatenate((self._slot_rows[resident], new_rows))
+                self._new_index(size)
+            self._place(new, new_rows)
         cells = rows * self.params.redundancy + paths.reshape(-1)
         values = np.broadcast_to(np.asarray(values, dtype=np.int64), cells.shape)
         flat = self._values.reshape(-1)
@@ -148,9 +222,14 @@ class CopyMemory:
         """
         variables = np.asarray(variables, dtype=np.int64)
         reached_mask = np.asarray(reached_mask, dtype=bool)
+        red = self.params.redundancy
+        if variables.ndim != 1 or reached_mask.shape != (variables.size, red):
+            raise ValueError(
+                f"reached_mask must have shape (len(variables), {red}), "
+                f"got {reached_mask.shape} for variables of shape {variables.shape}"
+            )
         if not reached_mask.any(axis=1).all():
             raise ValueError("every row must reach at least one copy")
-        red = self.params.redundancy
         reached = np.flatnonzero(reached_mask)
         vals, tss = self.read(variables[reached // red], reached % red)
         newest = np.full(reached_mask.size, _UNWRITTEN_TS - 1, dtype=np.int64)
@@ -174,7 +253,10 @@ class CopyMemory:
         the fault tests rely on.
         """
         red = self.params.redundancy
-        keys, rows = self._keys[:-1], self._rows[:-1]
+        resident = self._slot_keys != _FREE
+        keys = self._slot_keys[resident]
+        order = np.argsort(keys)
+        keys, rows = keys[order], self._slot_rows[resident][order]
         stamps = self._stamps[rows]
         hit = stamps >= 0
         cids = (keys[:, None] * red + np.arange(red, dtype=np.int64))[hit]

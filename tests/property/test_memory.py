@@ -8,6 +8,7 @@ equal ``snapshot()`` and an equal ``written_copies`` on both.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -112,3 +113,69 @@ def test_matches_dict_reference(ops, stamps):
             assert np.array_equal(got, reference.read_latest_masked(variables, arg))
         assert memory.written_copies == len(reference.store)
     assert memory.snapshot() == reference.store
+
+
+# Index growth.  The stream above never holds enough variables to grow
+# the hash index, so these write 24,000 distinct variables in batches:
+# the index doubles from 1,024 to 65,536 slots.  Same q^k as PARAMS, so
+# DictMemory applies unchanged.
+BIG = HMOSParams(n=4096, alpha=1.5, q=3, k=2)
+BATCH, BATCHES = 1000, 24
+
+
+def _fresh_ids(pattern, rng):
+    """Distinct variable ids, BATCH of them per batch, in write order."""
+    nv = BIG.num_variables
+    count = BATCH * BATCHES
+    if pattern == "contiguous":  # one run of BATCH ids per batch, 30,011 apart
+        i = np.arange(count, dtype=np.int64)
+        return (i // BATCH) * 30011 + i % BATCH
+    if pattern == "strided":  # distinct because num_variables is odd
+        return (np.arange(count, dtype=np.int64) << 16) % nv
+    return rng.choice(nv, size=count, replace=False).astype(np.int64)
+
+
+def _probe_distances(memory):
+    """Table size, key count and each key's distance from its home slot."""
+    keys = memory._slot_keys
+    size = keys.size
+    slots = np.flatnonzero(keys != -1)
+    return size, slots.size, (slots - memory._home(keys[slots])) % size
+
+
+@pytest.mark.parametrize("pattern", ["contiguous", "strided", "random"])
+def test_index_growth_matches_dict_reference(pattern):
+    assert BIG.redundancy == RED and BIG.num_variables % 2 == 1
+    rng = np.random.default_rng(23)
+    ids = _fresh_ids(pattern, rng)
+    assert np.unique(ids).size == ids.size
+    memory, reference = CopyMemory(BIG), DictMemory()
+    sizes = set()
+    for batch in range(BATCHES):
+        start = batch * BATCH
+        fresh = ids[start : start + BATCH]
+        resident = rng.choice(ids[:start], size=min(start, 200), replace=False)
+        # fresh[:2] again: a variable repeated within the write, and
+        # (fresh[1], path) twice, so its last value must win.
+        variables = np.concatenate((fresh, resident, fresh[:2]))
+        ps = rng.integers(0, RED, variables.size)
+        ps[-1] = ps[1]
+        values = rng.integers(-1000, 1000, variables.size)
+        memory.write(variables, ps, values, batch)
+        reference.write(variables, ps, values, batch)
+
+        untouched = ids[start + BATCH : start + BATCH + 100]
+        asked = np.concatenate((variables[::4], untouched))[:, None]
+        every_path = np.arange(RED)[None, :]
+        got, want = memory.read(asked, every_path), reference.read(asked, every_path)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert memory.written_copies == len(reference.store)
+        size, count, distance = _probe_distances(memory)
+        assert count == start + BATCH
+        assert 2 * count <= size
+        assert distance.max() <= 64
+        sizes.add(size)
+    assert len(sizes) >= 5  # at least 4 doublings seen
+    snapshot = memory.snapshot()
+    assert snapshot == reference.store
+    assert list(snapshot) == sorted(snapshot)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.culling import audit_theorem3, cull, page_congestion
+from repro.culling import audit_theorem3, cull, cull_with_faults, page_congestion
 from repro.culling.procedure import _mark_with_cap
 from repro.hmos import HMOS
 from repro.hmos.copytree import target_set_size
@@ -89,6 +89,20 @@ class TestCull:
     def test_rejects_duplicates(self, scheme64):
         with pytest.raises(ValueError):
             cull(scheme64, np.array([1, 1]))
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            cull,
+            lambda scheme, v: cull_with_faults(
+                scheme, v, np.ones((v.size, scheme.redundancy), dtype=bool)
+            ),
+        ],
+        ids=["cull", "cull_with_faults"],
+    )
+    def test_rejects_non_adjacent_duplicates(self, scheme64, run):
+        with pytest.raises(ValueError, match="distinct"):
+            run(scheme64, np.array([5, 1, 5]))
 
     def test_rejects_too_many_requests(self, scheme64):
         with pytest.raises(ValueError):

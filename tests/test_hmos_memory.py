@@ -81,6 +81,12 @@ class TestCopyMemory:
                 np.array([0]), np.zeros((1, scheme.redundancy), dtype=bool)
             )
 
+    @pytest.mark.parametrize("shape", [(1, 9), (2, 4), (3, 3), (2, 10)])
+    def test_read_latest_masked_checks_mask_shape(self, scheme, shape):
+        """The mask needs one row of q^k = 9 flags per variable."""
+        with pytest.raises(ValueError, match="shape"):
+            scheme.memory.read_latest_masked(np.array([7, 5]), np.ones(shape, dtype=bool))
+
     def test_write_read_majority_consistency(self, scheme):
         """Write a target set, read any other target set: newest wins.
 
