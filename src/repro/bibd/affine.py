@@ -18,9 +18,18 @@ Input ids enumerate ``(h, B, A)`` lexicographically::
 This order is exactly the one the appendix's balanced prefix selection
 (V1 | V2 | V3) requires, so a :class:`repro.bibd.BalancedSubgraph` is
 simply "the first m inputs".
+
+Points stay integer ids ``sum_j p_j q^j``.  An id splits into blocks of
+w base-q digits, and the digit-wise GF(q) sum or scaling of a block is
+one lookup in a per-field table, ``add[u*Q + v]`` or ``scale[x*Q + v]``
+with ``Q = q^w``.  The tables hold at most ``_TABLE_CAP`` entries (q^2
+when w = 1 exceeds that) whatever the number of points, so incidence
+still needs only constant internal storage.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -30,12 +39,40 @@ from repro.util.validate import check_positive
 
 __all__ = ["AffineBIBD", "bibd_num_inputs"]
 
+# Most entries a block table may hold; the add table has q^(2w).
+_TABLE_CAP = 1 << 16
+
 
 def bibd_num_inputs(q: int, d: int) -> int:
     """Number of inputs (lines) ``f(d) = q^{d-1} (q^d - 1)/(q - 1)``."""
     check_positive("q", q, minimum=2)
     check_positive("d", d, minimum=1)
     return q ** (d - 1) * (q**d - 1) // (q - 1)
+
+
+def _block_width(q: int, d: int) -> int:
+    """Width w of the fewest w-digit blocks that cover d digits with
+    ``q^(2w) <= _TABLE_CAP``; 1 when even ``q^2`` exceeds the cap."""
+    blocks = 1
+    while True:
+        w = -(-d // blocks)
+        if w == 1 or q ** (2 * w) <= _TABLE_CAP:
+            return w
+        blocks += 1
+
+
+@functools.lru_cache(maxsize=None)
+def _block_tables(q: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """GF(q) digit-wise ``add[u*Q + v]`` and ``scale[x*Q + v]`` on w-digit
+    blocks ``u, v < Q = q^w`` and field elements ``x``.  Built on first
+    use and kept for the process; the arrays are read-only."""
+    fld = get_field(q)
+    digits = digits_from_int(np.arange(q**w), q, w)  # (Q, w)
+    add = int_from_digits(fld.add(digits[:, None], digits[None]), q).ravel()
+    scale = int_from_digits(fld.mul(fld.elements()[:, None, None], digits), q).ravel()
+    for table in (add, scale):
+        table.flags.writeable = False
+    return add, scale
 
 
 class AffineBIBD:
@@ -66,6 +103,7 @@ class AffineBIBD:
         self._offsets = self.q ** (self.d - 1) * geo  # length d+1; [d] = num_inputs
         self.input_degree = self.q
         self.output_degree = (self.q**self.d - 1) // (self.q - 1)
+        self._width = _block_width(self.q, self.d)
 
     # -- id codecs --------------------------------------------------------
 
@@ -100,34 +138,28 @@ class AffineBIBD:
 
     # -- geometry ---------------------------------------------------------
 
-    def _line_vectors(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """Return (base, direction) digit vectors, shape (..., d), LSD first."""
-        h, A, B = self.decode_inputs(ids)
-        d, q = self.d, self.q
-        a = digits_from_int(A, q, d - 1)  # (..., d-1)
-        b = digits_from_int(B, q, max(d - 1, 1))  # (..., >=1); only first h used
-        shape = h.shape + (d,)
-        base = np.zeros(shape, dtype=np.int64)
-        direction = np.zeros(shape, dtype=np.int64)
-        # Work on flattened views to keep the masking simple.
-        hf = h.reshape(-1)
-        af = a.reshape(-1, d - 1) if d > 1 else a.reshape(-1, 0)
-        bf = b.reshape(-1, b.shape[-1])
-        basef = base.reshape(-1, d)
-        dirf = direction.reshape(-1, d)
-        for j in range(d):
-            below_j = hf > j
-            above_j = hf < j
-            at_j = hf == j
-            if d > 1:
-                # base: a_j below h, 0 at h, a_{j-1} above h
-                basef[below_j, j] = af[below_j, j] if j < d - 1 else 0
-                if j >= 1:
-                    basef[above_j, j] = af[above_j, j - 1]
-            dirf[at_j, j] = 1
-            if j < bf.shape[1]:
-                dirf[below_j, j] = bf[below_j, j]
-        return base, direction
+    def _axpy(self, u, x, v) -> np.ndarray:
+        """Point ids of ``u + x * v`` in AG(d, q), digit by digit in GF(q).
+
+        Ids are split into ``w``-digit blocks; each block is one lookup
+        in the scale table and one in the add table.  Broadcasts.
+        """
+        add, scale = _block_tables(self.q, self._width)
+        Q = self.q**self._width
+        out = 0
+        for j in reversed(range(-(-self.d // self._width))):
+            block = scale[x * Q + v // Q**j % Q] + u // Q**j % Q * Q
+            out = out * Q + add[block]
+        return out
+
+    def _line_ids(self, input_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Point ids of each line's base (digit h is 0) and direction
+        (digit h is 1, B's digits below it).  Separate from
+        :meth:`neighbors` so the decoded arrays are freed before its
+        ``(q, ...)`` passes, which set the build's peak memory."""
+        h, A, B = self.decode_inputs(input_ids)
+        qh = self.q**h
+        return A % qh + A // qh * (qh * self.q), qh + B
 
     def neighbors(self, input_ids) -> np.ndarray:
         """Output ids of the q points on each line; shape ``(..., q)``.
@@ -137,14 +169,11 @@ class AffineBIBD:
         gives every input a canonical 0..q-1 labelling of its edges (these
         labels are the "which copy" digits of the HMOS copy trees).
         """
-        base, direction = self._line_vectors(input_ids)
-        fld = self.field
-        x = fld.elements()  # (q,)
-        # points[..., x, j] = base[..., j] + x * direction[..., j]
-        pts = fld.add(
-            base[..., None, :], fld.mul(x[:, None], direction[..., None, :])
-        )
-        return int_from_digits(pts, self.q)
+        base, direction = self._line_ids(input_ids)
+        # Slot axis first, so every NumPy pass runs along the long id axis.
+        x = self.field.elements().reshape((-1,) + (1,) * base.ndim)
+        pts = self._axpy(base, x, direction)
+        return np.ascontiguousarray(np.moveaxis(pts, 0, -1))
 
     def line_through(self, u1, u2) -> np.ndarray:
         """The unique input (line) through two *distinct* points.
@@ -203,38 +232,12 @@ class AffineBIBD:
         the points, so each point determines A.
         """
         u = self._check_ids(u, self.num_outputs, "output")
-        h = np.asarray(h, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
-        fld = self.field
-        pts = digits_from_int(u, self.q, self.d)
-        b = digits_from_int(B, self.q, max(self.d - 1, 1))
-        d = self.d
+        qh = self.q ** np.asarray(h, dtype=np.int64)
+        direction = qh + B
         # x = u[h]; base = u - x * direction; A = base digits minus pos h.
-        hb = np.broadcast_to(h, u.shape)
-        x = np.take_along_axis(pts, hb[..., None], axis=-1)[..., 0]
-        shape = np.broadcast_shapes(pts.shape[:-1], hb.shape)
-        direction = np.zeros(shape + (d,), dtype=np.int64)
-        dirf = direction.reshape(-1, d)
-        hf = np.broadcast_to(hb, shape).reshape(-1)
-        bf = np.broadcast_to(b, shape + (b.shape[-1],)).reshape(-1, b.shape[-1])
-        for j in range(d):
-            at_j = hf == j
-            below_j = hf > j
-            dirf[at_j, j] = 1
-            if j < bf.shape[1]:
-                dirf[below_j, j] = bf[below_j, j]
-        base = fld.sub(pts, fld.mul(x[..., None], direction))
-        basef = base.reshape(-1, d)
-        a = np.zeros((basef.shape[0], max(d - 1, 1)), dtype=np.int64)
-        for j in range(d):
-            below_j = hf > j
-            above_j = hf < j
-            if j < d - 1:
-                a[below_j, j] = basef[below_j, j]
-            if j >= 1:
-                a[above_j, j - 1] = basef[above_j, j]
-        A = int_from_digits(a, self.q) if d > 1 else np.zeros(basef.shape[0], dtype=np.int64)
-        return A.reshape(shape)
+        x = u // qh % self.q
+        base = self._axpy(u, self.field.neg(x), direction)
+        return np.asarray(base % qh + base // (qh * self.q) * qh)
 
     def input_rank_at_output(self, input_ids, output_ids) -> np.ndarray:
         """Rank (0-based) of a line among all lines through a given point.

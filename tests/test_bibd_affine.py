@@ -5,9 +5,183 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bibd import AffineBIBD, bibd_num_inputs, verify_input_degrees, verify_lambda_one
+from repro.bibd import (
+    AffineBIBD,
+    BalancedSubgraph,
+    bibd_num_inputs,
+    verify_input_degrees,
+    verify_lambda_one,
+)
+from repro.bibd.affine import _TABLE_CAP, _block_width
+from repro.util.intmath import digits_from_int, int_from_digits
 
 CASES = [(2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2), (9, 2), (2, 4)]
+
+
+# -- reference: the Phi(h, A, B) definition on base-q digit vectors --------
+
+
+def _ref_line_vectors(design, ids):
+    """Return (base, direction) digit vectors, shape (..., d), LSD first."""
+    h, A, B = design.decode_inputs(ids)
+    d, q = design.d, design.q
+    a = digits_from_int(A, q, d - 1)  # (..., d-1)
+    b = digits_from_int(B, q, d - 1)  # only the first h digits are used
+    shape = h.shape + (d,)
+    base = np.zeros(shape, dtype=np.int64)
+    direction = np.zeros(shape, dtype=np.int64)
+    hf = h.reshape(-1)
+    af = a.reshape(-1, d - 1)
+    bf = b.reshape(-1, b.shape[-1])
+    basef = base.reshape(-1, d)
+    dirf = direction.reshape(-1, d)
+    for j in range(d):
+        below_j = hf > j
+        above_j = hf < j
+        at_j = hf == j
+        # base: a_j below h, 0 at h, a_{j-1} above h
+        basef[below_j, j] = af[below_j, j] if j < d - 1 else 0
+        if j >= 1:
+            basef[above_j, j] = af[above_j, j - 1]
+        dirf[at_j, j] = 1
+        if j < bf.shape[1]:
+            dirf[below_j, j] = bf[below_j, j]
+    return base, direction
+
+
+def ref_neighbors(design, input_ids):
+    """``base + x * direction`` for every x, digit by digit (d >= 2)."""
+    base, direction = _ref_line_vectors(design, input_ids)
+    fld = design.field
+    x = fld.elements()
+    pts = fld.add(base[..., None, :], fld.mul(x[:, None], direction[..., None, :]))
+    return int_from_digits(pts, design.q)
+
+
+def ref_line_through_with_params(design, u, h, B):
+    """A of the line Phi(h, A, B) through u, digit by digit (d >= 2)."""
+    u = np.asarray(u, dtype=np.int64)
+    h = np.asarray(h, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    fld, d, q = design.field, design.d, design.q
+    pts = digits_from_int(u, q, d)
+    b = digits_from_int(B, q, d - 1)
+    # x = u[h]; base = u - x * direction; A = base digits minus pos h.
+    hb = np.broadcast_to(h, u.shape)
+    x = np.take_along_axis(pts, hb[..., None], axis=-1)[..., 0]
+    shape = np.broadcast_shapes(pts.shape[:-1], hb.shape)
+    direction = np.zeros(shape + (d,), dtype=np.int64)
+    dirf = direction.reshape(-1, d)
+    hf = np.broadcast_to(hb, shape).reshape(-1)
+    bf = np.broadcast_to(b, shape + (b.shape[-1],)).reshape(-1, b.shape[-1])
+    for j in range(d):
+        dirf[hf == j, j] = 1
+        if j < bf.shape[1]:
+            below_j = hf > j
+            dirf[below_j, j] = bf[below_j, j]
+    base = fld.sub(pts, fld.mul(x[..., None], direction))
+    basef = base.reshape(-1, d)
+    a = np.zeros((basef.shape[0], d - 1), dtype=np.int64)
+    for j in range(d):
+        below_j = hf > j
+        above_j = hf < j
+        if j < d - 1:
+            a[below_j, j] = basef[below_j, j]
+        if j >= 1:
+            a[above_j, j - 1] = basef[above_j, j]
+    return int_from_digits(a, q).reshape(shape)
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def _every_point_and_param(design):
+    """Every (u, h, B) triple as three equal-shaped 2-D arrays."""
+    h = np.concatenate([np.full(design.q**j, j) for j in range(design.d)])
+    B = np.concatenate([np.arange(design.q**j) for j in range(design.d)])
+    u = np.arange(design.num_outputs)
+    return np.broadcast_arrays(u[:, None], h[None, :], B[None, :])
+
+
+def _sampled_params(design, rng, size):
+    u = rng.integers(0, design.num_outputs, size)
+    h = rng.integers(0, design.d, size)
+    return u, h, rng.integers(0, design.q**h)
+
+
+class TestBlockArithmetic:
+    """Integer point ids through digit-block tables equal the digit-vector
+    definition of the lines, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "q,d", [(2, 5), (3, 4), (4, 3), (5, 3), (7, 2), (8, 2), (9, 2)]
+    )
+    def test_every_input(self, q, d):
+        design = AffineBIBD(q, d)
+        ids = np.arange(design.num_inputs)
+        _same(design.neighbors(ids), ref_neighbors(design, ids))
+        u, h, B = _every_point_and_param(design)
+        _same(
+            design.line_through_with_params(u, h, B),
+            ref_line_through_with_params(design, u, h, B),
+        )
+
+    @pytest.mark.parametrize("q,d,blocks", [(3, 7, 2), (3, 9, 2), (2, 17, 3)])
+    def test_sampled_inputs_across_blocks(self, q, d, blocks):
+        assert -(-d // _block_width(q, d)) == blocks
+        design = AffineBIBD(q, d)
+        rng = np.random.default_rng(q * 100 + d)
+        ids = rng.integers(0, design.num_inputs, 20_000)
+        _same(design.neighbors(ids), ref_neighbors(design, ids))
+        u, h, B = _sampled_params(design, rng, 20_000)
+        _same(
+            design.line_through_with_params(u, h, B),
+            ref_line_through_with_params(design, u, h, B),
+        )
+
+    def test_scalar_2d_and_broadcast_arguments(self):
+        design = AffineBIBD(3, 4)
+        for ids in (7, np.int64(1079), np.arange(12).reshape(3, 4)):
+            _same(design.neighbors(ids), ref_neighbors(design, ids))
+        u = np.arange(81).reshape(9, 9)
+        rows = np.arange(9)[:, None]
+        h = rows % 4
+        for args in [
+            (40, 2, 5),
+            (u, np.int64(2), np.int64(5)),
+            (u, 3, 26),
+            (u, h, rows * 7 % 3**h),
+        ]:
+            _same(
+                design.line_through_with_params(*args),
+                ref_line_through_with_params(design, *args),
+            )
+
+    def test_field_beyond_the_table_cap(self):
+        """Even q^2 exceeds the cap: the blocking stops at width 1."""
+        q, d = 257, 2
+        assert q**2 > _TABLE_CAP and _block_width(q, d) == 1
+        design = AffineBIBD(q, d)
+        rng = np.random.default_rng(257)
+        ids = rng.integers(0, design.num_inputs, 5_000)
+        _same(design.neighbors(ids), ref_neighbors(design, ids))
+        u, h, B = _sampled_params(design, rng, 5_000)
+        _same(
+            design.line_through_with_params(u, h, B),
+            ref_line_through_with_params(design, u, h, B),
+        )
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_one_dimensional_design_lists_its_line(self, q):
+        """AG(1, q) has one line, through all q points in field order."""
+        design = AffineBIBD(q, 1)
+        _same(design.neighbors(0), np.arange(q, dtype=np.int64))
+        nbr, rank, outdeg = BalancedSubgraph(q, 1, 1).tables()
+        np.testing.assert_array_equal(nbr, np.arange(q)[None, :])
+        assert rank.tolist() == [0] and outdeg.tolist() == [1] * q
 
 
 class TestCounts:

@@ -1,5 +1,7 @@
 """Tests for the balanced prefix subgraph (paper appendix, Theorem 5)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,25 @@ class TestSubgraphIncidence:
         sg = BalancedSubgraph(3, 2, 5)
         with pytest.raises(ValueError):
             sg.neighbors(5)
+
+
+def test_materialize_transient_memory_is_bounded():
+    """Building the n = 4096 scheme's largest level graph peaks at <= 6x
+    the tables it keeps.  NumPy reports its buffers to tracemalloc, so
+    the peak is deterministic."""
+    sg = BalancedSubgraph(3, 7, 796797)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        sg.materialize()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    table_bytes = sum(t.nbytes for t in sg.tables())
+    assert peak - before <= 6 * table_bytes, (peak - before) / table_bytes
 
 
 class TestStrongExpansion:

@@ -7,11 +7,13 @@ protocol results, and differential-oracle verdicts — while stale or
 corrupt disk artifacts degrade to a rebuild, never to wrong answers.
 """
 
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.bibd import BalancedSubgraph
 from repro.cache import (
     CACHE_VERSION,
     ArtifactCache,
@@ -125,6 +127,43 @@ def test_cached_instances_do_not_share_memory(cache):
     pa.write(variables, np.full(10, 7), timestamp=1)
     np.testing.assert_array_equal(pb.read(variables).values, np.zeros(10))
     np.testing.assert_array_equal(pa.read(variables).values, np.full(10, 7))
+
+
+# sha256 of the (nbr, rank, outdeg) tables the cache writes for the level
+# graphs of perfbench's n = 4096 scheme and the serve scheme (n = 64).
+# Artifacts already on disk carry these bytes: a change here must come
+# with a CACHE_VERSION bump.
+TABLE_DIGESTS = {
+    (3, 7, 796797): (
+        "1d44de768590a68a3c645573705dec76942d30425a4bcfff7faf0ee13d594206",
+        "bc5ca949d6ea2ef04e8599dfe40699365620adf99f74bb30e2ef544df48ee6a9",
+        "98944a16b5e539d2087b5065a0df5ce75a36655f57f9c14212b6283b6966549c",
+    ),
+    (3, 5, 2187): (
+        "417fc132e745cb314cb25f6151f52415d7e4df8608716af84687914b96b63399",
+        "4ad8e3bf5b64d61130da175c0ff2b2c3a1d77489101b07560964049ff59b28f9",
+        "09d3d5a2b6953b398f16a7b91294a2b4b8e599c470f40c11b59a8b502b5a6bd6",
+    ),
+    (3, 4, 1080): (
+        "df79169fcd83d394ec812c7b4286b0c912caa95d517178db458283b8e5303a5d",
+        "67c251e8035c73e9205e61ee93ea62b40975d3ec22ed48914584d346f5448473",
+        "f8bf4d50d010896ad95130642e80b3807e779b4cd58f99e3abbb84325d0f7edc",
+    ),
+    (3, 3, 81): (
+        "77d4a749d9f6a09b39289ed2c092bb1496e59c3c5d8d5668443b63c856f0bd5f",
+        "7cfc0558f42288bb8ad0b4f1d2ba4021a3de0508aa7af9a5ab3a27e5d69204f8",
+        "25e271c8c3b66835547636aaa9d50a18b4c649d37c7a16825b2fd93ec7a8a42b",
+    ),
+}
+
+
+@pytest.mark.parametrize("q,d,m", sorted(TABLE_DIGESTS))
+def test_subgraph_tables_match_version_1_artifacts(q, d, m):
+    assert CACHE_VERSION == 1
+    tables = BalancedSubgraph(q, d, m).tables()
+    assert all(t.dtype == np.int64 and t.flags.c_contiguous for t in tables)
+    digests = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables)
+    assert digests == TABLE_DIGESTS[(q, d, m)]
 
 
 def test_stale_version_is_rebuilt_and_overwritten(tmp_path):
