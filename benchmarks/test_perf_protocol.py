@@ -15,8 +15,9 @@ Two measurements, both recorded in ``benchmarks/BENCH_protocol.json``:
   beat the seed stack).
 * **Batched step executor** — a 100-step mixed-workload ``run_steps``
   stream at ``n = 4096`` (full load, one request per processor) on the
-  model engine: materialized-table cached scheme + threaded chain
-  tensor vs plain arithmetic scheme + per-step protocol calls.  Every
+  model engine: materialized-table cached scheme + CULLING's page keys
+  reused by stage planning vs plain arithmetic scheme + per-step
+  protocol calls.  Every
   per-step output (values, culling selections, iteration stats, charged
   steps, stage metrics) is asserted bit-identical between the paths
   before the speedup is checked.
@@ -95,8 +96,8 @@ class SeedOracle(DifferentialOracle):
 
     Plain arithmetic HMOS on both engine sides (no materialized
     incidence tables, no memoized initial row), per-call curve decoding
-    (rank tables disabled), and ``reuse=False`` protocols (chain tensor
-    recomputed per step) — the per-case cost profile of the seed
+    (rank tables disabled), and ``reuse=False`` protocols (chains and
+    page keys recomputed per step) — the per-case cost profile of the seed
     repository, used as the campaign baseline.
     """
 
@@ -304,7 +305,7 @@ def test_run_steps_throughput():
                 "seed stack = plain arithmetic HMOS + per-call curve "
                 "decoding + reuse=False per-step calls; throughput stack "
                 "= cached materialized scheme + batched run_steps with "
-                "the culling chain tensor threaded into routing; all "
+                "CULLING's page keys reused by stage planning; all "
                 "per-step observables asserted identical"
             ),
         },

@@ -127,7 +127,8 @@ class BalancedSubgraph:
         """The q output neighbors of each selected input; shape ``(..., q)``."""
         arr = self._check_inputs(input_ids)
         if self._nbr_table is not None:
-            return self._nbr_table[arr]
+            # A row gather: np.take beats fancy indexing several times.
+            return np.take(self._nbr_table, arr, axis=0)
         return self.design.neighbors(arr)
 
     def neighbor_at(self, input_ids, slots) -> np.ndarray:

@@ -11,9 +11,9 @@ the same request stream and cross-checks them after every step:
 
 The two HMOS instances are deliberately built through *different
 construction paths*: the cycle scheme via :meth:`HMOS.cached` (artifact
-cache — materialized incidence tables, memoized initial target-set row,
-threaded chain tensor) and the model scheme via plain ``HMOS(...)``
-(finite-field arithmetic, per-copy incidence validation).  Every fuzz
+cache — materialized incidence tables, memoized initial target-set row)
+and the model scheme via plain ``HMOS(...)`` (finite-field arithmetic,
+per-copy incidence validation).  Every fuzz
 case therefore differentially certifies the throughput layer's fast
 paths against the legacy arithmetic, on top of the engine cross-checks.
 Both engines execute the whole request stream through the batched

@@ -118,12 +118,14 @@ def cull_with_faults(
     paths = np.arange(red, dtype=np.int64)
 
     stats: list[IterationStats] = []
+    page_keys: list[np.ndarray] = []
     charged = 0.0
     for level in range(1, k + 1):
         cap = params.culling_cap(level)
         keys = scheme.placement.page_keys(
             level, variables[:, None], paths, chains=chains
         )
+        page_keys.append(keys)
         marked = _mark_with_cap(keys, selected, cap)
         feasible, chosen, added = extract_min_target_set(
             marked, selected, q, k, level
@@ -149,6 +151,6 @@ def cull_with_faults(
         selected=selected,
         iterations=tuple(stats),
         charged_steps=charged,
-        chains=chains,
+        page_keys=tuple(page_keys),
         start_levels=start_levels,
     )

@@ -26,7 +26,8 @@ chain comes from one neighbour lookup per copy-tree node
 page keys finds the pages over their cap (only their copies are
 ranked) and gives the ``max_page_load`` diagnostic, and the
 per-variable extraction is a table lookup for small trees
-(:mod:`repro.hmos.copytree`).
+(:mod:`repro.hmos.copytree`).  The per-level page keys of every copy
+are handed to the access protocol, which plans its stages from them.
 """
 
 from __future__ import annotations
@@ -70,17 +71,18 @@ class CullingResult:
         Diagnostics per level.
     charged_steps : float
         Eq. (2) mesh-step charge for running the procedure.
-    chains : np.ndarray or None
-        The full ``(N, q^k, k)`` module-chain tensor CULLING already
-        derived for every copy; the access protocol slices the selected
-        rows out of it instead of recomputing ``placement.chains``.
+    page_keys : tuple[np.ndarray, ...] or None
+        Level ``i``'s page key of every copy at index ``i - 1``, each of
+        shape ``(N, q^k)``: the keys CULLING marked by.  The access
+        protocol plans its stages from the selected copies' keys and
+        releases them (``None``) before returning its result.
     """
 
     variables: np.ndarray
     selected: np.ndarray
     iterations: tuple[IterationStats, ...]
     charged_steps: float
-    chains: np.ndarray | None = None
+    page_keys: tuple[np.ndarray, ...] | None = None
 
     @property
     def total_selected(self) -> int:
@@ -175,7 +177,7 @@ def cull(
             selected=np.zeros((0, params.redundancy), dtype=bool),
             iterations=(),
             charged_steps=0.0,
-            chains=np.zeros((0, params.redundancy, params.k), dtype=np.int64),
+            page_keys=(np.zeros((0, params.redundancy), dtype=np.int64),) * params.k,
         )
     cost_model = cost_model or CostModel()
     q, k = params.q, params.k
@@ -187,12 +189,14 @@ def cull(
     chains = scheme.placement.chains(variables)  # (N, q^k, k), every copy
 
     stats: list[IterationStats] = []
+    page_keys: list[np.ndarray] = []
     charged = 0.0
     for level in range(1, k + 1):
         cap = params.culling_cap(level)
         keys = scheme.placement.page_keys(
             level, variables[:, None], paths, chains=chains
         )
+        page_keys.append(keys)
         marked = _mark_with_cap(keys, selected, cap)
         feasible, chosen, added = extract_min_target_set(
             marked, selected, q, k, level
@@ -226,5 +230,5 @@ def cull(
         selected=selected,
         iterations=tuple(stats),
         charged_steps=charged,
-        chains=chains,
+        page_keys=tuple(page_keys),
     )

@@ -20,9 +20,15 @@ units per node.  Page ranges may then be narrower than one node, in
 which case several pages simply share it; all index arithmetic stays in
 exact int64.
 
-Every query is vectorized and O(k) arithmetic per copy with no stored
-adjacency — the constant-internal-storage memory map claimed by the
-paper.
+A level-i page's range depends only on the page, so the walk runs once
+per page, not once per copy: each level i >= 1 keeps a table, indexed
+by page key, of every page's interval and node span, built from
+:meth:`Placement.page_intervals` on first use.  Level i holds
+``num_pages(i) = m_i q^{k-i}`` pages, at most ``q^{k+2} n`` by Eq. (1)
+(6,561 level-1 pages at n = 4096), four int64 each.  A copy's node is
+its level-1 page's entry plus one refinement by the variable's rank.
+The tables are derived, never persisted; the closed-form walk stays the
+definition.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ class Placement:
                 BalancedSubgraph(q, params.d[i], params.m[i]) for i in range(k)
             ]
         self._digit_table: np.ndarray | None = None
+        self._page_tables: dict[int, tuple[np.ndarray, ...]] = {}
         for i, g in enumerate(self.graphs):
             if g.num_outputs != params.m[i + 1]:
                 raise AssertionError(
@@ -118,7 +125,10 @@ class Placement:
             out = np.empty((nodes.shape[0], q**k, k), dtype=np.int64)
             for j in range(k):
                 nodes = self.graphs[j].neighbors(nodes).reshape(-1, q ** (j + 1))
-                out[:, :, j] = np.repeat(nodes, q ** (k - 1 - j), axis=1)
+                # Level j's module is shared by q^(k-1-j) consecutive paths.
+                out.reshape(-1, q ** (j + 1), q ** (k - 1 - j), k)[..., j] = nodes[
+                    :, :, None
+                ]
             return out
         paths = np.asarray(paths, dtype=np.int64)
         variables, paths = np.broadcast_arrays(variables, paths)
@@ -156,38 +166,88 @@ class Placement:
         stop = ((u_k + 1) * nS) // params.m[k]
         # Refine: j counts the level whose page interval we are inside.
         for j in range(k, level, -1):
-            g = self.graphs[j - 1]  # U_{j-1} -> U_j
-            u_j = chains[:, j - 1]
             inner = chains[:, j - 2] if j >= 2 else variables
-            parts = g.output_degree(u_j)
-            # The chain guarantees (inner, u_j) incidence, so the
-            # materialized fast path skips the incidence check; the
-            # arithmetic path keeps it as defense in depth.
-            if g.is_materialized:
-                rank = g.input_rank(inner)
-            else:
-                rank = g.input_rank_at_output(inner, u_j)
+            rank, parts = self._rank_parts(j, inner, chains[:, j - 1])
             size = stop - start
             new_start = start + (rank * size) // parts
             stop = start + ((rank + 1) * size) // parts
             start = new_start
         return start, stop
 
-    def copy_nodes(self, variables, paths, chains: np.ndarray | None = None) -> np.ndarray:
-        """Mesh node id storing each copy."""
-        start, _ = self.page_intervals(0, variables, paths, chains)
-        ranks = start // SCALE
-        return self.mesh.node_of_rank(ranks)
+    def _rank_parts(self, j: int, inner, u_j) -> tuple[np.ndarray, np.ndarray]:
+        """Rank of each level-(j-1) page among the ``parts`` that split
+        its level-j page (module ``u_j``)."""
+        g = self.graphs[j - 1]  # U_{j-1} -> U_j
+        # The chain guarantees (inner, u_j) incidence, so the
+        # materialized fast path skips the incidence check; the
+        # arithmetic path keeps it as defense in depth.
+        if g.is_materialized:
+            rank = g.input_rank(inner)
+        else:
+            rank = g.input_rank_at_output(inner, u_j)
+        return rank, g.output_degree(u_j)
+
+    def page_table(self, level: int) -> tuple[np.ndarray, ...]:
+        """``(start, stop, first, last)`` of every level-``level`` page
+        (``1 <= level <= k``), indexed by page key; built on first use.
+
+        A key names the page's module ``u_level`` and branch digits
+        ``(e_{level+1}, ..., e_k)``; one neighbour lookup per level gives
+        the rest of its chain, and :meth:`page_intervals` the entry.
+        """
+        if level not in self._page_tables:
+            params, k = self.params, self.params.k
+            per_module = params.pages_per_module(level)
+            keys = np.arange(params.num_pages(level), dtype=np.int64)
+            digits = self.digit_table[keys % per_module]
+            chains = np.zeros((keys.size, k), dtype=np.int64)
+            chains[:, level - 1] = keys // per_module
+            for j in range(level, k):
+                chains[:, j] = self.graphs[j].neighbor_at(
+                    chains[:, j - 1], digits[:, j]
+                )
+            # Variables and paths only matter below level 1.
+            start, stop = self.page_intervals(level, 0, 0, chains)
+            self._page_tables[level] = (start, stop, *_node_span(start, stop))
+        return self._page_tables[level]
+
+    def copy_nodes(
+        self, variables, paths, chains: np.ndarray | None = None, *, keys=None
+    ) -> np.ndarray:
+        """Mesh node id storing each copy: its level-1 page's interval,
+        refined by the variable's rank at the page's module.
+
+        ``keys`` may carry the copies' level-1 page keys (CULLING has
+        them); otherwise they are derived, from ``chains`` if given.
+        """
+        variables = np.asarray(variables, dtype=np.int64).reshape(-1)
+        if keys is None:
+            keys = self.page_keys(1, variables, np.reshape(paths, -1), chains)
+        start, stop, _, _ = self.page_table(1)
+        lo = start[keys]
+        u_1 = keys // self.params.pages_per_module(1)
+        rank, parts = self._rank_parts(1, variables, u_1)
+        return self.mesh.node_of_rank(
+            (lo + (rank * (stop[keys] - lo)) // parts) // SCALE
+        )
 
     def page_node_spans(
-        self, level: int, variables, paths, chains: np.ndarray | None = None
+        self, level: int, variables, paths, chains: np.ndarray | None = None,
+        *, keys=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Morton-rank node span ``[first, last]`` of each copy's
-        level-``level`` page (inclusive; possibly a single node)."""
-        start, stop = self.page_intervals(level, variables, paths, chains)
-        first = start // SCALE
-        last = np.maximum(first, (stop - 1) // SCALE)
-        return first, last
+        level-``level`` page (inclusive; possibly a single node).
+
+        ``keys`` may carry the copies' level-``level`` page keys.
+        """
+        if level == 0:
+            return _node_span(*self.page_intervals(0, variables, paths, chains))
+        if keys is None:
+            keys = self.page_keys(
+                level, np.reshape(variables, -1), np.reshape(paths, -1), chains
+            )
+        _, _, first, last = self.page_table(level)
+        return first[keys], last[keys]
 
     # -- identifiers ----------------------------------------------------------
 
@@ -228,3 +288,9 @@ class Placement:
         p = np.tile(np.arange(params.redundancy), params.num_variables)
         nodes = self.copy_nodes(v, p)
         return np.bincount(nodes, minlength=params.n)
+
+
+def _node_span(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive node-rank span ``[first, last]`` of virtual intervals."""
+    first = start // SCALE
+    return first, np.maximum(first, (stop - 1) // SCALE)

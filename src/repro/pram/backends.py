@@ -181,16 +181,21 @@ class MeshBackend:
 
         A cell appearing in both sets is treated as written; the
         protocol's mixed access returns pre-write values, preserving the
-        read-before-write PRAM convention.
+        read-before-write PRAM convention.  A cell written twice takes
+        its last value.
         """
         self._time += 1
+        write_cells = np.asarray(write_cells, dtype=np.int64)
         union = np.unique(np.concatenate([read_cells, write_cells]))
-        is_write = np.isin(union, write_cells)
+        # First occurrence in reverse order = last write of each cell.
+        cells, from_end = np.unique(write_cells[::-1], return_index=True)
+        at = np.searchsorted(union, cells)
+        is_write = np.zeros(union.size, dtype=bool)
+        is_write[at] = True
         aligned = np.zeros(union.size, dtype=np.int64)
-        w_pos = {int(c): int(v) for c, v in zip(write_cells, values)}
-        for i, cell in enumerate(union.tolist()):
-            if is_write[i]:
-                aligned[i] = w_pos[cell]
+        aligned[at] = np.asarray(values, dtype=np.int64)[
+            write_cells.size - 1 - from_end
+        ]
         faults = self._fault_boundary()
         try:
             res = self.protocol.mixed(

@@ -14,6 +14,11 @@ Stage numbering follows the paper: stages run from ``k + 1`` down to 1.
   its value; the reverse journey's cost mirrors the forward one
   stage-by-stage (measured explicitly in cycle mode).
 
+Stage targets are planned from the page keys CULLING computed for every
+copy: each level's selected keys index the placement's per-level page
+tables.  The keys are released before the result is returned, so a
+logged result keeps no per-copy arrays.
+
 Two execution engines:
 
 * ``engine="cycle"`` — every stage's packet movement is simulated by the
@@ -189,9 +194,9 @@ class AccessProtocol:
         liveness are recomputed from the injector's *current* state on
         every step, never precomputed for a whole stream.
     reuse : bool, default True
-        Thread CULLING's chain tensor into routing instead of
-        recomputing ``placement.chains`` for the selected copies.
-        Disable only to benchmark the legacy per-step recomputation
+        Plan the stages from the page keys CULLING already computed for
+        every copy instead of recomputing the selected copies' chains
+        and keys.  Disable only to benchmark the per-step recomputation
         (selections and metrics are identical either way).
     """
 
@@ -264,10 +269,10 @@ class AccessProtocol:
         """Execute a whole request stream through one protocol instance.
 
         This is the batched step executor: the per-scheme reusable state
-        (materialized incidence tables, the memoized initial target-set
-        row, the threaded culling chain tensor) is amortized over every
-        step, which is what makes long PRAM workloads and sweep
-        campaigns cheap.  Timestamps increment per step starting at
+        (materialized incidence tables, the placement's page tables, the
+        memoized initial target-set row) is amortized over every step,
+        which is what makes long PRAM workloads and sweep campaigns
+        cheap.  Timestamps increment per step starting at
         ``start_timestamp`` (reads ignore theirs), so a stream replayed
         here is bit-identical to the same steps issued one by one.
 
@@ -426,45 +431,47 @@ class AccessProtocol:
         else:
             culling_res = cull(scheme, variables, cost_model=self.cost_model)
         sel = culling_res.selected
+        placement = scheme.placement
+        k = params.k
+        n = params.n
 
-        # One packet per selected copy.  CULLING already derived the
-        # full (N, q^k, k) chain tensor — slice the selected rows out of
-        # it rather than recomputing placement.chains per step.
+        # One packet per selected copy.  CULLING already keyed every
+        # copy's pages: gather the selected copies' keys, level by
+        # level, rather than recomputing chains and keys per step.
         rows, pkt_paths = np.nonzero(sel)
         pkt_vars = variables[rows]
-        if self.reuse and culling_res.chains is not None:
-            chains = culling_res.chains[rows, pkt_paths]
+        if self.reuse:
+            flat = rows * params.redundancy + pkt_paths
+            page_keys = [keys.reshape(-1)[flat] for keys in culling_res.page_keys]
         else:
-            chains = scheme.placement.chains(pkt_vars, pkt_paths)
-        copy_nodes = scheme.placement.copy_nodes(pkt_vars, pkt_paths, chains)
+            chains = placement.chains(pkt_vars, pkt_paths)
+            page_keys = [
+                placement.page_keys(level, pkt_vars, pkt_paths, chains)
+                for level in range(1, k + 1)
+            ]
+        copy_nodes = placement.copy_nodes(pkt_vars, pkt_paths, keys=page_keys[0])
 
         # Origins: requester j sits at mesh node j (any fixed bijection
         # between PRAM processors and mesh nodes works); under processor
         # faults the reassignment map substitutes the surviving proxy.
-        if requesters is not None:
-            origins = requesters[rows]
-        else:
-            origins = rows.astype(np.int64)
+        origins = requesters[rows] if requesters is not None else rows
 
-        k = params.k
-        n = params.n
         positions = [origins]
         stage_info: list[tuple[int, int, int, int, float]] = []
-        cur = origins
         # A stage operates within the pages one level up: the widest of
         # them, whose spans the previous stage computed, sets t_nodes
-        # (the whole mesh for stage k + 1).
+        # (the whole mesh for stage k + 1).  Each stage starts from the
+        # load the previous one ended with.
         t_nodes = n
+        delta_in = _max_per_node(origins, n)
         for stage in range(k + 1, 0, -1):
-            delta_in = _max_per_node(cur, n)
             if stage == 1:
                 targets = copy_nodes
                 sort_charge = 0.0  # stage 1 is pure (delta_1, delta_0)-routing
             else:
-                level = stage - 1
-                keys = scheme.placement.page_keys(level, pkt_vars, pkt_paths, chains)
-                first, last = scheme.placement.page_node_spans(
-                    level, pkt_vars, pkt_paths, chains
+                keys = page_keys[stage - 2]
+                first, last = placement.page_node_spans(
+                    stage - 1, pkt_vars, pkt_paths, keys=keys
                 )
                 rank = rank_within_groups(keys)
                 span_len = last - first + 1
@@ -473,7 +480,7 @@ class AccessProtocol:
             delta_out = _max_per_node(targets, n)
             stage_info.append((stage, t_nodes, delta_in, delta_out, sort_charge))
             positions.append(targets)
-            cur = targets
+            delta_in = delta_out
             if stage > 1:
                 t_nodes = int(span_len.max()) if span_len.size else 1
 
@@ -528,11 +535,13 @@ class AccessProtocol:
         ):
             tracer.count("protocol.degraded_steps")
 
+        # The page keys were only needed for planning; a logged result
+        # must not keep (N, q^k) arrays per level alive.
         return AccessResult(
             op=op,
             variables=variables,
             values=out_values,
-            culling=culling_res,
+            culling=replace(culling_res, page_keys=None),
             stages=tuple(stages),
             return_steps=return_steps,
             reassignments=reassignments,

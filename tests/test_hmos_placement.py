@@ -189,6 +189,90 @@ class TestPageKeys:
             small.page_keys(0, np.array([0]), np.array([0]))
 
 
+TABLE_SCHEMES = [
+    (64, 1.5, 3, 1, "morton"),
+    (256, 1.5, 3, 2, "morton"),
+    (256, 2.0, 3, 3, "morton"),
+    (64, 1.5, 4, 2, "morton"),
+    (256, 1.5, 5, 2, "morton"),
+    (1024, 1.5, 3, 2, "hilbert"),
+]
+
+
+def _placement(n, alpha, q, k, curve, materialized):
+    params = HMOSParams(n=n, alpha=alpha, q=q, k=k)
+    place = Placement(params, Mesh(params.side, curve=curve))
+    if materialized:
+        for g in place.graphs:
+            g.materialize()
+    return place
+
+
+def _reference_span(start, stop):
+    first = start // SCALE
+    return first, np.maximum(first, (stop - 1) // SCALE)
+
+
+@pytest.mark.parametrize("materialized", [False, True], ids=["arithmetic", "cached"])
+@pytest.mark.parametrize(
+    "scheme", TABLE_SCHEMES, ids=["-".join(map(str, s)) for s in TABLE_SCHEMES]
+)
+class TestPageTables:
+    """Per-level page tables reproduce the per-copy ``page_intervals``
+    walk, which stays the definition."""
+
+    def test_every_page_matches_the_walk(self, scheme, materialized):
+        place = _placement(*scheme, materialized)
+        p = place.params
+        q, k = p.q, p.k
+        for level in range(1, k + 1):
+            per = p.pages_per_module(level)
+            keys = np.arange(p.num_pages(level))
+            # The page's chain: its module, then one full neighbour row
+            # per level indexed by the key's branch digits.
+            chains = np.zeros((keys.size, k), dtype=np.int64)
+            chains[:, level - 1] = keys // per
+            for j in range(level, k):
+                digit = (keys % per) // q ** (k - 1 - j) % q
+                nbrs = place.graphs[j].neighbors(chains[:, j - 1])
+                chains[:, j] = nbrs[np.arange(keys.size), digit]
+            zeros = np.zeros_like(keys)
+            start, stop = place.page_intervals(level, zeros, zeros, chains)
+            table = place.page_table(level)
+            np.testing.assert_array_equal(table[0], start)
+            np.testing.assert_array_equal(table[1], stop)
+            for got, want in zip(table[2:], _reference_span(start, stop)):
+                np.testing.assert_array_equal(got, want)
+        if k == 1:  # the level-1 table is the outermost module range
+            u = np.arange(p.m[1])
+            nS = p.n * SCALE
+            np.testing.assert_array_equal(place.page_table(1)[0], u * nS // p.m[1])
+
+    def test_random_copies_match_the_walk(self, scheme, materialized):
+        place = _placement(*scheme, materialized)
+        p = place.params
+        rng = np.random.default_rng(p.n + p.q + p.k)
+        v = rng.integers(0, p.num_variables, 2000)
+        paths = rng.integers(0, p.redundancy, 2000)
+        start, _ = place.page_intervals(0, v, paths)
+        nodes = place.mesh.node_of_rank(start // SCALE)
+        chains = place.chains(v, paths)
+        keys1 = place.page_keys(1, v, paths)
+        np.testing.assert_array_equal(place.copy_nodes(v, paths), nodes)
+        np.testing.assert_array_equal(place.copy_nodes(v, paths, chains), nodes)
+        np.testing.assert_array_equal(place.copy_nodes(v, paths, keys=keys1), nodes)
+        for level in range(0, p.k + 1):
+            want = _reference_span(*place.page_intervals(level, v, paths))
+            got = place.page_node_spans(level, v, paths)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            if level:
+                keys = place.page_keys(level, v, paths)
+                got = place.page_node_spans(level, v, paths, keys=keys)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+
+
 class TestFacade:
     def test_initial_target_masks(self, small):
         masks = small.initial_target_masks(5)

@@ -7,6 +7,9 @@ copy's location from O(d) = O(log n) integers.  These tests audit our
 implementation for accidental materialization: the bytes held in NumPy
 arrays reachable from a Placement must not grow with the memory size
 beyond the O(log)-sized parameter vectors and the O(q^2) field tables.
+The one exception is derived and bounded: stage planning's per-level
+page tables, built on first query, hold four int64 per page, and the
+page count grows with n^(alpha/2), not with the n^alpha variables.
 """
 
 import numpy as np
@@ -52,6 +55,29 @@ class TestFootprint:
         b_large = ndarray_bytes(large.placement)
         assert b_large <= 2 * b_small
         assert large.num_variables > 10_000 * small.num_variables
+
+    def test_page_tables_are_the_only_storage_queries_add(self):
+        """After queries at every level, the map holds the arithmetic
+        core plus at most four int64 per page and the q^k-path digit
+        table, far below one word per variable.  (The mesh's O(n) curve
+        rank tables are the mesh's, not the map's.)"""
+        scheme = HMOS(n=1024, alpha=2.0, q=3, k=2)
+        p = scheme.params
+
+        def map_bytes():
+            return ndarray_bytes(scheme.placement) - ndarray_bytes(scheme.mesh)
+
+        before = map_bytes()
+        v = np.arange(0, p.num_variables, p.num_variables // 50)
+        paths = np.arange(v.size) % p.redundancy
+        scheme.copy_nodes(v, paths)
+        for level in range(1, p.k + 1):
+            scheme.placement.page_node_spans(level, v, paths)
+        pages = sum(p.num_pages(level) for level in range(1, p.k + 1))
+        digits = p.redundancy * p.k * 8
+        after = map_bytes()
+        assert before < after <= before + 32 * pages + digits
+        assert pages < p.num_variables // 100
 
     def test_uw87_baseline_would_need_linear_storage(self):
         """Contrast: the random-graph scheme must either store its map
