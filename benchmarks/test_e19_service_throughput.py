@@ -19,8 +19,9 @@ shape:
 * every configuration certifies: batched execution byte-identical to
   its sequential replay.
 
-Wall-clock request latency is recorded in ``BENCH_serve.json`` for
-reference but never asserted.
+Wall-clock request latency is recorded in ``BENCH_serve.json``
+(``BENCH_serve.quick.json`` in quick mode) for reference but never
+asserted.
 """
 
 import json
@@ -33,8 +34,10 @@ from _harness import instance_metadata, report, run_once
 from repro.serve.harness import ScriptedFleet
 from repro.serve.server import ServeConfig
 
-BENCH_JSON = Path(__file__).parent / "BENCH_serve.json"
 QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
+BENCH_JSON = Path(__file__).parent / (
+    "BENCH_serve.quick.json" if QUICK else "BENCH_serve.json"
+)
 
 SCHEME = (
     dict(n=16, alpha=1.5, q=3, k=1) if QUICK else dict(n=64, alpha=1.5, q=3, k=2)

@@ -15,8 +15,8 @@ The default incidence queries are arithmetic (storage-free, matching the
 paper's constant-internal-storage claim); :meth:`BalancedSubgraph
 .materialize` trades that storage bound for throughput by precomputing
 neighbor/rank/degree tables (``O(m q)`` ints), turning every hot-path
-query into a fancy-indexing lookup.  The tables are exactly what
-:mod:`repro.cache` persists between runs.
+query into a fancy-indexing lookup.  :mod:`repro.cache` memoizes the
+materialized graphs in process memory.
 """
 
 from __future__ import annotations
@@ -92,23 +92,10 @@ class BalancedSubgraph:
             outdeg = self.output_degree(
                 np.arange(self.num_outputs, dtype=np.int64)
             )
-            self.attach_tables(nbr, rank, outdeg)
+            self._nbr_table = np.ascontiguousarray(nbr, dtype=np.int64)
+            self._rank_table = np.ascontiguousarray(rank, dtype=np.int64)
+            self._outdeg_table = np.ascontiguousarray(outdeg, dtype=np.int64)
         return self
-
-    def attach_tables(
-        self, nbr: np.ndarray, rank: np.ndarray, outdeg: np.ndarray
-    ) -> None:
-        """Install precomputed tables (the cache's deserialization hook)."""
-        if nbr.shape != (self.num_inputs, self.q):
-            raise ValueError(f"nbr table shape {nbr.shape} != "
-                             f"({self.num_inputs}, {self.q})")
-        if rank.shape != (self.num_inputs,):
-            raise ValueError("rank table misaligned with inputs")
-        if outdeg.shape != (self.num_outputs,):
-            raise ValueError("outdeg table misaligned with outputs")
-        self._nbr_table = np.ascontiguousarray(nbr, dtype=np.int64)
-        self._rank_table = np.ascontiguousarray(rank, dtype=np.int64)
-        self._outdeg_table = np.ascontiguousarray(outdeg, dtype=np.int64)
 
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``(nbr, rank, outdeg)`` tables (materializing on demand)."""

@@ -1,11 +1,11 @@
-"""Version-stamped artifact cache for expensive HMOS building blocks.
+"""In-process memo of expensive HMOS building blocks.
 
 Every sweep (E8/E13-E17), fuzz campaign, and long PRAM run used to
 rebuild the same immutable artifacts once per case: the
 :class:`~repro.bibd.subgraph.BalancedSubgraph` incidence structures
 (whose *materialized* neighbor/rank/degree tables are the protocol hot
 path), the :class:`~repro.hmos.placement.Placement` graphs, and the
-initial target-set row.  This module caches them at two granularities:
+initial target-set row.  This module memoizes them at two granularities:
 
 * **subgraph artifacts**, keyed ``(q, d, m)`` — the per-level incidence
   tables, shared by every scheme that uses the same level graph;
@@ -13,32 +13,18 @@ initial target-set row.  This module caches them at two granularities:
   assembled immutable parts of one HMOS (params, mesh, materialized
   placement, initial target-set row).
 
-Both layers are held in process memory and mirrored on disk (NumPy
-``.npz`` files — no pickle) under ``$REPRO_CACHE_DIR`` or
-``~/.cache/repro`` in a per-version subdirectory.  Consistency rules:
-
-* **versioning** — artifacts embed :data:`CACHE_VERSION`; a stamp
-  mismatch (or any unreadable/corrupt file) is treated as a miss and
-  the artifact is rebuilt and atomically rewritten;
-* **atomicity** — writes go to a unique temp file in the same directory
-  followed by ``os.replace``, so concurrent readers only ever observe
-  absent or complete files;
-* **isolation** — :meth:`ArtifactCache.scheme` returns a *new*
-  :class:`~repro.hmos.scheme.HMOS` per call around the shared immutable
-  parts, with a fresh :class:`~repro.hmos.memory.CopyMemory`: cached
-  schemes never share mutable memory state.
-
-``repro cache stats`` / ``repro cache clear`` expose the disk layer on
-the command line.
+The artifacts are derived data: every table comes from the BIBD's
+constructive neighbor function, and a cold build of the ``n = 4096``
+scheme takes about 0.2 s.  They therefore live in process memory only;
+nothing is written to disk.  :meth:`ArtifactCache.scheme` returns a
+*new* :class:`~repro.hmos.scheme.HMOS` per call around the shared
+immutable parts, with a fresh :class:`~repro.hmos.memory.CopyMemory`:
+cached schemes never share mutable memory state.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -50,27 +36,11 @@ from repro.mesh.topology import Mesh
 from repro.obs import tracer as _obs
 
 __all__ = [
-    "CACHE_VERSION",
     "ArtifactCache",
     "CacheStats",
     "default_cache",
     "reset_default_cache",
 ]
-
-#: Bump when the artifact layout or the semantics of any cached table
-#: change; on-disk artifacts carrying a different stamp are rebuilt.
-CACHE_VERSION = 1
-
-_ENV_DIR = "REPRO_CACHE_DIR"
-
-
-def _default_dir() -> Path:
-    env = os.environ.get(_ENV_DIR)
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro"
 
 
 @dataclass
@@ -79,13 +49,7 @@ class CacheStats:
 
     memory_hits: int = 0
     memory_misses: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    disk_stale: int = 0  # version mismatch or unreadable artifact
     builds: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
     @property
     def hit_rate(self) -> float:
@@ -104,21 +68,9 @@ class _SchemeParts:
 
 
 class ArtifactCache:
-    """In-process + on-disk cache of HMOS artifacts.
+    """In-process memo of HMOS artifacts."""
 
-    Parameters
-    ----------
-    cache_dir : path, optional
-        Disk location; defaults to ``$REPRO_CACHE_DIR`` or
-        ``~/.cache/repro``.  Artifacts live in a ``v{CACHE_VERSION}``
-        subdirectory so version bumps never read stale layouts.
-    persist : bool
-        Set False for a purely in-process cache (no disk I/O).
-    """
-
-    def __init__(self, cache_dir: str | Path | None = None, *, persist: bool = True):
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else _default_dir()
-        self.persist = persist
+    def __init__(self):
         self.stats = CacheStats()
         self._subgraphs: dict[tuple, BalancedSubgraph] = {}
         self._schemes: dict[tuple, _SchemeParts] = {}
@@ -130,71 +82,6 @@ class ArtifactCache:
         if tracer.enabled:
             tracer.count(f"cache.{field}")
 
-    # -- keys and files -----------------------------------------------------
-
-    @property
-    def version_dir(self) -> Path:
-        return self.cache_dir / f"v{CACHE_VERSION}"
-
-    @staticmethod
-    def _digest(*parts) -> str:
-        text = "|".join(repr(p) for p in parts)
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-    def _subgraph_path(self, q: int, d: int, m: int) -> Path:
-        return self.version_dir / f"subgraph_q{q}_d{d}_m{m}.npz"
-
-    def _scheme_path(self, n: int, alpha: float, q: int, k: int, curve: str) -> Path:
-        digest = self._digest("scheme", n, alpha, q, k, curve)
-        return self.version_dir / f"scheme_n{n}_q{q}_k{k}_{curve}_{digest}.npz"
-
-    # -- atomic disk I/O ----------------------------------------------------
-
-    def _write_atomic(self, path: Path, arrays: dict[str, np.ndarray]) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.stem + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **arrays)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _read(self, path: Path, names: tuple[str, ...]) -> dict | None:
-        """Load an artifact; None on absence, corruption, or stale stamp."""
-        if not self.persist:
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if int(data["version"][0]) != CACHE_VERSION:
-                    self._tally("disk_stale")
-                    return None
-                loaded = {
-                    name: np.ascontiguousarray(data[name]) for name in names
-                }
-                tracer = _obs.current()
-                if tracer.enabled:
-                    tracer.count(
-                        "cache.load_bytes",
-                        int(sum(a.nbytes for a in loaded.values())),
-                    )
-                return loaded
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Partial/corrupt artifact (e.g. interrupted writer on a
-            # filesystem without atomic replace): rebuild and overwrite.
-            self._tally("disk_stale")
-            return None
-
-    # -- subgraph artifacts -------------------------------------------------
-
     def subgraph(self, q: int, d: int, m: int) -> BalancedSubgraph:
         """A *materialized* ``BalancedSubgraph(q, d, m)`` (shared instance)."""
         key = (int(q), int(d), int(m))
@@ -203,30 +90,10 @@ class ArtifactCache:
             self._tally("memory_hits")
             return hit
         self._tally("memory_misses")
-        graph = BalancedSubgraph(*key)
-        path = self._subgraph_path(*key)
-        loaded = self._read(path, ("nbr", "rank", "outdeg"))
-        if loaded is not None:
-            self._tally("disk_hits")
-            graph.attach_tables(loaded["nbr"], loaded["rank"], loaded["outdeg"])
-        else:
-            self._tally("disk_misses")
-            self._tally("builds")
-            nbr, rank, outdeg = graph.tables()
-            if self.persist:
-                self._write_atomic(
-                    path,
-                    {
-                        "version": np.array([CACHE_VERSION], dtype=np.int64),
-                        "nbr": nbr,
-                        "rank": rank,
-                        "outdeg": outdeg,
-                    },
-                )
+        self._tally("builds")
+        graph = BalancedSubgraph(*key).materialize()
         self._subgraphs[key] = graph
         return graph
-
-    # -- scheme artifacts ---------------------------------------------------
 
     def scheme(
         self, n: int, alpha: float, q: int = 3, k: int = 2, *, curve: str = "morton"
@@ -247,93 +114,28 @@ class ArtifactCache:
             for i in range(params.k)
         ]
         placement = Placement(params, mesh, graphs=graphs)
-        path = self._scheme_path(*key)
-        loaded = self._read(path, ("initial_row",))
-        if loaded is not None:
-            self._tally("disk_hits")
-            initial_row = loaded["initial_row"].astype(bool)
-        else:
-            self._tally("disk_misses")
-            self._tally("builds")
-            probe = HMOS._from_parts(params, mesh, placement)
-            initial_row = probe.initial_target_masks(1).astype(bool)
-            if self.persist:
-                self._write_atomic(
-                    path,
-                    {
-                        "version": np.array([CACHE_VERSION], dtype=np.int64),
-                        "initial_row": initial_row,
-                    },
-                )
-        parts = _SchemeParts(
+        self._tally("builds")
+        probe = HMOS._from_parts(params, mesh, placement)
+        initial_row = probe.initial_target_masks(1).astype(bool)
+        self._schemes[key] = _SchemeParts(
             params=params,
             mesh=mesh,
             placement=placement,
             initial_row=initial_row,
         )
-        self._schemes[key] = parts
         return HMOS._from_parts(params, mesh, placement, initial_row)
 
-    # -- maintenance --------------------------------------------------------
-
-    def disk_entries(self) -> list[Path]:
-        """Artifact files of the *current* version (sorted)."""
-        if not self.version_dir.is_dir():
-            return []
-        return sorted(p for p in self.version_dir.glob("*.npz") if p.is_file())
-
-    def disk_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.disk_entries())
-
-    def clear(self, *, memory: bool = True, disk: bool = False) -> int:
-        """Drop cached artifacts; returns the number of disk files removed.
-
-        ``disk=True`` also removes persisted artifacts of *every*
-        version (explicit invalidation — the versioned layout already
-        ignores stale stamps automatically).
-        """
-        removed = 0
-        if memory:
-            self._subgraphs.clear()
-            self._schemes.clear()
-        if disk and self.cache_dir.is_dir():
-            for sub in sorted(self.cache_dir.glob("v*")):
-                if not sub.is_dir():
-                    continue
-                for f in sub.glob("*"):
-                    try:
-                        f.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-                try:
-                    sub.rmdir()
-                except OSError:
-                    pass
-        return removed
-
-    def summary(self) -> str:
-        """Human-readable ``repro cache stats`` payload."""
-        entries = self.disk_entries()
-        lines = [
-            f"cache dir: {self.cache_dir} (version v{CACHE_VERSION})",
-            f"disk: {len(entries)} artifact(s), {self.disk_bytes() / 1e6:.2f} MB",
-            f"memory: {len(self._subgraphs)} subgraph(s), "
-            f"{len(self._schemes)} scheme(s)",
-            "session: "
-            + ", ".join(f"{k}={v}" for k, v in self.stats.as_dict().items()),
-        ]
-        for p in entries:
-            lines.append(f"  {p.name}  {p.stat().st_size / 1e6:.2f} MB")
-        return "\n".join(lines)
+    def clear(self) -> None:
+        """Drop every memoized artifact (the counters survive)."""
+        self._subgraphs.clear()
+        self._schemes.clear()
 
 
 _default: ArtifactCache | None = None
 
 
 def default_cache() -> ArtifactCache:
-    """The process-wide cache (created on first use; honors
-    ``$REPRO_CACHE_DIR`` at creation time)."""
+    """The process-wide cache (created on first use)."""
     global _default
     if _default is None:
         _default = ArtifactCache()
@@ -341,6 +143,6 @@ def default_cache() -> ArtifactCache:
 
 
 def reset_default_cache() -> None:
-    """Forget the process-wide cache (tests; re-reads the environment)."""
+    """Forget the process-wide cache (tests and benchmarks start empty)."""
     global _default
     _default = None

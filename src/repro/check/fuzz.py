@@ -273,11 +273,11 @@ def run_fuzz_parallel(
     Functionally equivalent to :func:`run_fuzz` — same parameter space,
     same oracle, same artifact format — but built for throughput: cases
     come from a seeded NumPy stream (no Hypothesis engine in the loop)
-    and shards run on a process pool whose workers share the HMOS
-    artifact cache (:mod:`repro.parallel`).  Deterministic in
-    ``(seed, cases, profile)``; the worker count only changes
-    wall-clock, not the case stream or which failure is reported (lowest
-    campaign index wins).  ``profile`` selects the generator mix (see
+    and shards run on a process pool (:mod:`repro.parallel`) whose
+    forked workers inherit the parent's HMOS artifact memo.
+    Deterministic in ``(seed, cases, profile)``; the worker count only
+    changes wall-clock, not the case stream or which failure is reported
+    (lowest campaign index wins).  ``profile`` selects the generator mix (see
     :data:`repro.check.generate.PROFILES`): ``"fault-heavy"`` makes
     every case carry processor faults and a mid-run fault schedule.
     """

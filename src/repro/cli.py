@@ -10,7 +10,6 @@ Commands
 ``experiments``  list or execute the E1..E19 reproduction suite
 ``check``    differential verification: fuzz the stack against the PRAM
              oracle, or replay a recorded divergence artifact
-``cache``    inspect or clear the on-disk HMOS artifact cache
 ``trace``    record a traced workload, summarize a trace file, or diff
              two traces to localize per-stage step regressions
 ``serve``    long-lived asyncio JSON-lines simulation server (batched
@@ -223,9 +222,8 @@ def _cmd_check(args) -> int:
     if args.check_command == "fuzz":
         if (args.workers and args.workers > 1) or args.profile != "default":
             # Sweep-runner path: direct case generation + process pool
-            # over the shared artifact cache (no hypothesis needed).
-            # Non-default profiles only exist on this path, so they take
-            # it even at --workers 1.
+            # (no hypothesis needed).  Non-default profiles only exist
+            # on this path, so they take it even at --workers 1.
             from repro.check.fuzz import run_fuzz_parallel
 
             report = run_fuzz_parallel(
@@ -559,18 +557,6 @@ def _cmd_client(args) -> int:
     return 0
 
 
-def _cmd_cache(args) -> int:
-    from repro.cache import ArtifactCache
-
-    cache = ArtifactCache(args.dir)
-    if args.cache_command == "stats":
-        print(cache.summary())
-        return 0
-    removed = cache.clear(disk=True)
-    print(f"removed {removed} artifact(s) from {cache.cache_dir}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -679,20 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("a", help="baseline trace (.jsonl)")
     pt.add_argument("b", help="comparison trace (.jsonl)")
     pt.set_defaults(fn=_cmd_trace)
-
-    p = sub.add_parser("cache", help="inspect or clear the HMOS artifact cache")
-    cache_sub = p.add_subparsers(dest="cache_command", required=True)
-    for name, help_ in (
-        ("stats", "print cache location, artifacts, and session counters"),
-        ("clear", "remove all persisted artifacts (every version)"),
-    ):
-        pc = cache_sub.add_parser(name, help=help_)
-        pc.add_argument(
-            "--dir",
-            default=None,
-            help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-        )
-        pc.set_defaults(fn=_cmd_cache)
 
     p = sub.add_parser(
         "serve", help="asyncio JSON-lines simulation server (repro.serve/1)"

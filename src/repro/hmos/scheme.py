@@ -64,8 +64,8 @@ class HMOS:
 
         The expensive immutable parts — level graphs with *materialized*
         incidence tables, the mesh, the initial target-set row — are
-        shared between all instances with the same ``(n, alpha, q, k,
-        curve)`` key (and persisted on disk); every call returns a new
+        shared in process memory between all instances with the same
+        ``(n, alpha, q, k, curve)`` key; every call returns a new
         instance with its own fresh :class:`CopyMemory`, so cached
         schemes never share memory state.
         """

@@ -92,9 +92,8 @@ def scheme_from_config(config: dict[str, Any]) -> HMOS:
 def save_config(scheme: HMOS, path: str | Path) -> None:
     """Write the scheme's JSON recipe to ``path`` (atomically).
 
-    The write goes through temp-file + ``os.replace`` — the same
-    contract as the artifact cache — so a crash mid-write can never
-    leave a truncated, unparseable recipe behind.
+    The write goes through temp-file + ``os.replace``, so a crash
+    mid-write can never leave a truncated, unparseable recipe behind.
     """
     write_text_atomic(path, json.dumps(scheme_to_config(scheme), indent=2) + "\n")
 

@@ -16,8 +16,7 @@ Two formats, two audiences:
   tracks.
 
 Both writers go through :func:`repro.util.write_text_atomic` — a
-crashed recorder leaves either no file or a complete one, same contract
-as the artifact cache.
+crashed recorder leaves either no file or a complete one.
 """
 
 from __future__ import annotations

@@ -5,10 +5,9 @@ cannot pay for processes) degrades to plain inline execution:
 
 * :func:`parallel_map` — the sweep runner shared by the fuzzer and the
   experiments.  Workers are plain processes (``ProcessPoolExecutor``)
-  initialized to point their per-process
-  :func:`repro.cache.default_cache` at the parent's cache directory, so
-  every worker reuses the same persisted HMOS artifacts instead of
-  rebuilding subgraph tables per shard.  Dispatch is sized honestly:
+  and share no cache directory: a forked worker inherits the parent's
+  in-process HMOS artifact memo (:func:`repro.cache.default_cache`), a
+  spawned one rebuilds what it uses.  Dispatch is sized honestly:
   the worker count is clamped to the machine's real cores (a pool
   cannot beat its own overhead without them), an explicit ``chunksize``
   keeps the per-item pickle round-trips amortized, and a caller-supplied
@@ -65,16 +64,10 @@ def _worker_rank() -> int:
     return int(identity[0]) if identity else 0
 
 
-def _init_worker(cache_dir: str | None) -> None:
-    """Worker bootstrap: shared artifact-cache dir + distinct worker id."""
-    if cache_dir is not None:
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
+def _init_worker() -> None:
+    """Worker bootstrap: a distinct worker id."""
     # Worker ids start at 1: id 0 is the parent's (default) track.
     os.environ["REPRO_OBS_WORKER"] = str(max(1, _worker_rank()))
-    # Fresh per-process singleton; first use warms from the shared disk.
-    from repro.cache import reset_default_cache
-
-    reset_default_cache()
 
 
 def _mp_context(start_method: str | None = None):
@@ -93,7 +86,6 @@ def parallel_map(
     items,
     *,
     workers: int = 1,
-    cache_dir: str | None = None,
     chunksize: int | None = None,
     cost_hint: float | None = None,
     start_method: str | None = None,
@@ -111,9 +103,6 @@ def parallel_map(
         ``oversubscribe`` — to ``os.cpu_count()``: below its own core
         count a process pool only adds serialization overhead, which is
         exactly the BENCH_protocol regression this clamp removes.
-    cache_dir : str, optional
-        Overrides the artifact-cache location exported to the workers
-        (default: the parent's resolved cache directory).
     chunksize : int, optional
         Explicit ``pool.map`` chunk size.  Default: items split into at
         most 4 chunks per worker, so per-item dispatch overhead is
@@ -141,10 +130,6 @@ def parallel_map(
     if workers <= 1 or len(items) <= 1:
         with tracer.span("parallel.map", items=len(items), workers=1):
             return [fn(item) for item in items]
-    if cache_dir is None:
-        from repro.cache import default_cache
-
-        cache_dir = str(default_cache().cache_dir)
     if chunksize is None:
         chunksize = max(1, math.ceil(len(items) / (workers * 4)))
     ctx = _mp_context(start_method)
@@ -155,7 +140,6 @@ def parallel_map(
             max_workers=workers,
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(cache_dir,),
         ) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))
 

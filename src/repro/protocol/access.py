@@ -173,6 +173,11 @@ def _max_per_node(nodes: np.ndarray, n: int) -> int:
     return int(np.bincount(nodes, minlength=n).max())
 
 
+def _moves(src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether a routing leg moves any packet."""
+    return bool(src.size) and not np.array_equal(src, dst)
+
+
 class AccessProtocol:
     """Executes read/write steps against one :class:`HMOS` instance.
 
@@ -604,13 +609,6 @@ class AccessProtocol:
         side = max(2, 1 << max(0, (max(t_nodes, 1) - 1).bit_length() // 2))
         return float(max(delta, 1) * shearsort_steps(side))
 
-    def _route(self, src, dst, delta_in, delta_out, t_nodes) -> float:
-        if src.size == 0 or np.array_equal(src, dst):
-            return 0.0
-        if self.engine == "cycle":
-            return float(self._sync.route(PacketBatch(src, dst)).steps)
-        return self.cost_model.route_steps(delta_in, delta_out, t_nodes)
-
     def _route_legs(self, positions, stage_info):
         """Step costs of the forward legs (aligned with ``stage_info``)
         plus the total return journey.
@@ -623,9 +621,9 @@ class AccessProtocol:
         """
         if self.engine == "model":
             forward = [
-                self._route(
-                    positions[i], positions[i + 1], delta_in, delta_out, t_nodes
-                )
+                self.cost_model.route_steps(delta_in, delta_out, t_nodes)
+                if _moves(positions[i], positions[i + 1])
+                else 0.0
                 for i, (_, t_nodes, delta_in, delta_out, _) in enumerate(stage_info)
             ]
             return forward, float(sum(forward))
@@ -636,12 +634,12 @@ class AccessProtocol:
         batches: list[PacketBatch] = []
         for i in range(nstages):
             src, dst = positions[i], positions[i + 1]
-            if src.size and not np.array_equal(src, dst):
+            if _moves(src, dst):
                 slots.append(("fwd", i))
                 batches.append(PacketBatch(src, dst))
         for leg in range(len(positions) - 1, 0, -1):
             src, dst = positions[leg], positions[leg - 1]
-            if src.size and not np.array_equal(src, dst):
+            if _moves(src, dst):
                 slots.append(("ret", leg))
                 batches.append(PacketBatch(src, dst))
         if batches:

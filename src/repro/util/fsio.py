@@ -1,9 +1,8 @@
 """Atomic text-file writes (write-temp-then-``os.replace``).
 
-The artifact cache established the rule: a reader must only ever observe
-an absent or a *complete* file, never a truncated one from an
-interrupted writer.  This helper applies the same temp-file +
-``os.replace`` pattern to text payloads — JSON recipes
+A reader must only ever observe an absent or a *complete* file, never
+a truncated one from an interrupted writer.  This helper applies the
+temp-file + ``os.replace`` pattern to text payloads — JSON recipes
 (:func:`repro.io.save_config`) and the trace sinks (:mod:`repro.obs`).
 """
 

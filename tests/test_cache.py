@@ -3,8 +3,9 @@
 The cache must be *transparent*: a cache-backed scheme has to be
 indistinguishable from a freshly built one on every observable —
 placement chains, copy locations, page keys, culling selections, full
-protocol results, and differential-oracle verdicts — while stale or
-corrupt disk artifacts degrade to a rebuild, never to wrong answers.
+protocol results, and differential-oracle verdicts.  It is a memo in
+process memory: building schemes, in the parent or in sweep workers,
+writes no file.
 """
 
 import hashlib
@@ -14,25 +15,21 @@ import numpy as np
 import pytest
 
 from repro.bibd import BalancedSubgraph
-from repro.cache import (
-    CACHE_VERSION,
-    ArtifactCache,
-    default_cache,
-    reset_default_cache,
-)
+from repro.cache import ArtifactCache, reset_default_cache
+from repro.check.fuzz import run_fuzz_parallel
 from repro.check.generate import random_cases
 from repro.check.oracle import run_case
-from repro.cli import main as cli_main
 from repro.culling import cull
 from repro.hmos.scheme import HMOS
+from repro.parallel import parallel_map
 from repro.protocol.access import AccessProtocol
 
 CFG = dict(n=64, alpha=1.5, q=3, k=2)
 
 
 @pytest.fixture()
-def cache(tmp_path):
-    return ArtifactCache(tmp_path)
+def cache():
+    return ArtifactCache()
 
 
 def _full_grid(scheme):
@@ -89,12 +86,11 @@ def test_cached_protocol_results_match_fresh(cache):
     assert r1.culling.charged_steps == r2.culling.charged_steps
 
 
-def test_oracle_verdicts_identical_on_cached_stack(tmp_path, monkeypatch):
+def test_oracle_verdicts_identical_on_cached_stack():
     """The differential oracle (cached cycle side vs arithmetic model
     side) accepts a sample campaign end to end: cached and uncached
     paths produce identical selections, stage metrics, and step counts
     on every case, or run_case would raise."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     reset_default_cache()
     try:
         for case in random_cases(seed=3, count=8):
@@ -103,17 +99,17 @@ def test_oracle_verdicts_identical_on_cached_stack(tmp_path, monkeypatch):
         reset_default_cache()
 
 
-def test_memory_and_disk_hit_accounting(tmp_path):
-    first = ArtifactCache(tmp_path)
+def test_memory_and_disk_hit_accounting():
+    first = ArtifactCache()
     first.scheme(**CFG)
     assert first.stats.builds > 0
     first.scheme(**CFG)
     assert first.stats.memory_hits >= 1
 
-    second = ArtifactCache(tmp_path)  # same dir, cold memory
+    second = ArtifactCache()  # instances share nothing: cold again
     second.scheme(**CFG)
-    assert second.stats.disk_hits > 0
-    assert second.stats.builds == 0
+    assert second.stats.memory_hits == 0
+    assert second.stats.builds == first.stats.builds
 
 
 def test_cached_instances_do_not_share_memory(cache):
@@ -129,10 +125,10 @@ def test_cached_instances_do_not_share_memory(cache):
     np.testing.assert_array_equal(pa.read(variables).values, np.full(10, 7))
 
 
-# sha256 of the (nbr, rank, outdeg) tables the cache writes for the level
-# graphs of perfbench's n = 4096 scheme and the serve scheme (n = 64).
-# Artifacts already on disk carry these bytes: a change here must come
-# with a CACHE_VERSION bump.
+# sha256 of the (nbr, rank, outdeg) tables the cache materializes for the
+# level graphs of perfbench's n = 4096 scheme and the serve scheme
+# (n = 64).  These bytes are the BIBD incidence functions' output: a
+# change here changes every copy's module.
 TABLE_DIGESTS = {
     (3, 7, 796797): (
         "1d44de768590a68a3c645573705dec76942d30425a4bcfff7faf0ee13d594206",
@@ -159,45 +155,10 @@ TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("q,d,m", sorted(TABLE_DIGESTS))
 def test_subgraph_tables_match_version_1_artifacts(q, d, m):
-    assert CACHE_VERSION == 1
     tables = BalancedSubgraph(q, d, m).tables()
     assert all(t.dtype == np.int64 and t.flags.c_contiguous for t in tables)
     digests = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables)
     assert digests == TABLE_DIGESTS[(q, d, m)]
-
-
-def test_stale_version_is_rebuilt_and_overwritten(tmp_path):
-    warm = ArtifactCache(tmp_path)
-    warm.scheme(**CFG)
-    for path in warm.disk_entries():
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["version"] = np.array([CACHE_VERSION + 999], dtype=np.int64)
-        np.savez(path, **arrays)
-
-    cold = ArtifactCache(tmp_path)
-    cold.scheme(**CFG)
-    assert cold.stats.disk_stale > 0
-    assert cold.stats.builds > 0
-    # The rebuilt artifacts are valid again for the next reader.
-    third = ArtifactCache(tmp_path)
-    third.scheme(**CFG)
-    assert third.stats.disk_stale == 0
-    assert third.stats.disk_hits > 0
-
-
-def test_corrupt_artifact_is_rebuilt(tmp_path):
-    warm = ArtifactCache(tmp_path)
-    warm.scheme(**CFG)
-    victim = warm.disk_entries()[0]
-    victim.write_bytes(b"not an npz file")
-
-    cold = ArtifactCache(tmp_path)
-    scheme = cold.scheme(**CFG)
-    assert cold.stats.disk_stale >= 1
-    fresh = HMOS(CFG["n"], CFG["alpha"], CFG["q"], CFG["k"])
-    _, v, p = _full_grid(scheme)
-    np.testing.assert_array_equal(scheme.copy_nodes(v, p), fresh.copy_nodes(v, p))
 
 
 def test_concurrent_readers_share_one_cache(cache):
@@ -212,34 +173,36 @@ def test_concurrent_readers_share_one_cache(cache):
         np.testing.assert_array_equal(selected, results[0])
 
 
-def test_clear_and_persist_flag(tmp_path):
-    cache = ArtifactCache(tmp_path)
+def test_clear_and_persist_flag():
+    cache = ArtifactCache()
     cache.scheme(**CFG)
-    assert cache.disk_entries()
-    removed = cache.clear(disk=True)
-    assert removed > 0
-    assert not cache.disk_entries()
-    assert cache.stats.builds > 0  # counters survive a clear
-
-    volatile = ArtifactCache(tmp_path / "never", persist=False)
-    volatile.scheme(**CFG)
-    assert not (tmp_path / "never").exists()
+    builds = cache.stats.builds
+    assert builds > 0
+    cache.clear()
+    assert cache.stats.builds == builds  # counters survive a clear
+    cache.scheme(**CFG)
+    assert cache.stats.builds == 2 * builds  # the memo is empty again
 
 
-def test_default_cache_honors_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envdir"))
+def _build_small_scheme(_):
+    return HMOS.cached(16, 1.5, 3, 1).num_variables
+
+
+def test_builds_and_parallel_fuzz_write_no_files(tmp_path, monkeypatch):
+    for var in ("REPRO_CACHE_DIR", "XDG_CACHE_HOME", "HOME"):
+        monkeypatch.setenv(var, str(tmp_path / var.lower()))
     reset_default_cache()
     try:
-        assert default_cache().cache_dir == tmp_path / "envdir"
+        HMOS.cached(64, 1.5)
+        report = run_fuzz_parallel(seed=0, cases=6, workers=2)
+        assert report.ok, report.summary()
+        # The campaign above is small enough to run inline; this map
+        # forces pool workers that build schemes of their own.
+        sizes = parallel_map(
+            _build_small_scheme, range(4), workers=2, oversubscribe=True
+        )
+        assert len(set(sizes)) == 1
     finally:
         reset_default_cache()
-
-
-def test_cli_cache_stats_and_clear(tmp_path, capsys):
-    ArtifactCache(tmp_path).subgraph(3, 3, 81)
-    assert cli_main(["cache", "stats", "--dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "subgraph_q3_d3_m81" in out
-    assert cli_main(["cache", "clear", "--dir", str(tmp_path)]) == 0
-    assert "removed" in capsys.readouterr().out
-    assert not ArtifactCache(tmp_path).disk_entries()
+    written = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert written == []

@@ -344,21 +344,16 @@ class TestProtocolInstrumentation:
 
 
 class TestCacheInstrumentation:
-    def test_hit_miss_and_load_counters(self, tmp_path):
+    def test_hit_miss_and_load_counters(self):
         from repro.cache import ArtifactCache
 
         with obs.capture() as t:
-            cache = ArtifactCache(tmp_path)
-            cache.scheme(64, 1.5)  # cold: builds + persists
+            cache = ArtifactCache()
+            cache.scheme(64, 1.5)  # cold: builds
             cache.scheme(64, 1.5)  # warm: memory hit
         assert t.counters["cache.memory_misses"] >= 1
         assert t.counters["cache.memory_hits"] >= 1
         assert t.counters["cache.builds"] >= 1
-        with obs.capture() as t2:
-            fresh = ArtifactCache(tmp_path)  # new instance: disk hits
-            fresh.scheme(64, 1.5)
-        assert t2.counters["cache.disk_hits"] >= 1
-        assert t2.counters["cache.load_bytes"] > 0
 
 
 class TestParallelInstrumentation:
@@ -405,7 +400,7 @@ class TestParallelInstrumentation:
         seen = []
         for rank in (0, 1, 2):
             monkeypatch.setattr(parallel, "_worker_rank", lambda r=rank: r)
-            parallel._init_worker(None)
+            parallel._init_worker()
             seen.append(os.environ["REPRO_OBS_WORKER"])
         assert seen == ["1", "1", "2"]
 

@@ -92,7 +92,7 @@ def _record_step(result) -> dict:
 def run_case(scheme_key, engine, faults) -> list[dict]:
     n, alpha, q, k, curve = scheme_key
     if engine == "model":
-        cache = ArtifactCache(persist=False)
+        cache = ArtifactCache()
         scheme = cache.scheme(n, alpha, q, k, curve=curve)
     else:
         scheme = HMOS(n, alpha, q, k, curve=curve)
