@@ -14,7 +14,9 @@ Enabled-mode cost (wall spans + per-step occupancy bincount) is
 recorded in ``BENCH_obs.json`` for reference but not asserted — it is
 the price of turning tracing *on*, not an overhead regression.
 
-``REPRO_PERF_QUICK=1`` shrinks the instance for the CI smoke job.
+``REPRO_PERF_QUICK=1`` shrinks the instance for the CI smoke job and
+records to ``BENCH_obs.quick.json``, so a quick run never rewrites the
+committed full-mode record.
 """
 
 import json
@@ -28,8 +30,8 @@ from _harness import instance_metadata
 import repro.obs as obs
 from repro.mesh import Mesh, PacketBatch, SynchronousEngine
 
-BENCH_JSON = Path(__file__).parent / "BENCH_obs.json"
 QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
+BENCH_JSON = Path(__file__).parent / ("BENCH_obs.quick.json" if QUICK else "BENCH_obs.json")
 OVERHEAD_BUDGET = 0.03
 SIDE = 32 if QUICK else 64
 REPEATS = 5 if QUICK else 9

@@ -11,21 +11,25 @@ lives in :mod:`repro.hmos.placement`).  A PRAM program touches few of
 the up to ``n^2 q^k`` copies (5.2e9 slots in E8's largest instance), so
 storage grows with the *touched variables* only:
 
-* an open-addressing hash index maps each variable ever written to its
-  table row: two power-of-two int64 arrays of slot keys (-1 marks a free
-  slot) and slot rows (0 in every free slot), Fibonacci-hashed with one
-  extra mixing round and linearly probed, kept at most half full and
-  doubled when a write would fill it past that.  A lookup costs about
-  one gather per copy, and a write pays only for the variables it adds,
-  never for the ones already resident;
+* a two-level row map finds each variable's table row: a directory
+  entry per block of ``2^_BLOCK_BITS`` ids names the block's chunk in a
+  pool of int64 row-id chunks, one row id per id in the block.  Entry 0
+  (an untouched block) names chunk 0, which stays all zeros, so a
+  lookup is two gathers and an untouched variable lands on row 0.  A
+  write claims a zeroed chunk per block and a row per variable it
+  touches first;
 * each row indexes two appended ``(rows, q^k)`` int64 tables, the
-  copies' values and timestamps, grown by doubling;
+  copies' values and timestamps; a row is set to ``(0, -1)`` when it
+  is claimed.  Pool and tables grow by doubling into uninitialised
+  capacity;
 * row 0 is never written and reads ``(0, -1)``: the machine's initial
   memory image, returned for every copy of an untouched variable.
 
 Reads and writes are whole-array gathers and scatters into the flat
-tables.  Callers name copies by ``(variable, path)``; ``snapshot()``
-keys them by the flat copy id ``variable * q^k + path``.
+tables.  Callers name copies by ``(variable, path)``, with integer paths
+broadcast against the variables or, as in NumPy, a boolean ``(N, q^k)``
+copy mask, which needs one lookup per variable.  ``snapshot()`` keys
+copies by the flat copy id ``variable * q^k + path``.
 """
 
 from __future__ import annotations
@@ -37,14 +41,28 @@ from repro.hmos.params import HMOSParams
 __all__ = ["CopyMemory"]
 
 _UNWRITTEN_TS = -1
-#: Key of a free index slot (variable ids are >= 0).
-_FREE = -1
-#: Slots of a fresh index (a power of two).
-_MIN_SLOTS = 1024
-#: The index keeps at least this many slots per key: at most half full.
-_SLOTS_PER_KEY = 2
-#: 2^64 / golden ratio, the Fibonacci hashing multiplier.
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+#: log2 of the variable ids per block.  The directory takes 8 B per
+#: block of the address space, the pool 8 * 2^_BLOCK_BITS B per touched
+#: block: 18 MB plus 2 KB per touched block at E8's 5.8e8 variables.
+_BLOCK_BITS = 8
+_BLOCK = 1 << _BLOCK_BITS
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array."""
+    first = np.ones(ascending.size, dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
+    return ascending[first]
+
+
+def _with_room(table: np.ndarray, kept: int, need: int) -> np.ndarray:
+    """``table`` if it has ``need`` rows, else its first ``kept`` rows in
+    a new table at least twice as long, the rest uninitialised."""
+    if need <= table.shape[0]:
+        return table
+    grown = np.empty((max(need, 2 * table.shape[0]),) + table.shape[1:], table.dtype)
+    grown[:kept] = table[:kept]
+    return grown
 
 
 class CopyMemory:
@@ -53,86 +71,93 @@ class CopyMemory:
     def __init__(self, params: HMOSParams):
         self.params = params
         red = params.redundancy
-        self._new_index(_MIN_SLOTS)
+        self._directory = np.zeros(-(-params.num_variables // _BLOCK), dtype=np.int64)
+        self._pool = np.zeros(_BLOCK, dtype=np.int64)
+        self._chunks = 1
         self._values = np.zeros((1, red), dtype=np.int64)
         self._stamps = np.full((1, red), _UNWRITTEN_TS, dtype=np.int64)
         self._used = 1
 
-    def _new_index(self, size: int) -> None:
-        """Replace the index by an empty one of ``size`` slots."""
-        self._slot_keys = np.full(size, _FREE, dtype=np.int64)
-        self._slot_rows = np.zeros(size, dtype=np.int64)
-        self._shift = np.uint64(64 - (size.bit_length() - 1))
-
-    def _home(self, variables: np.ndarray) -> np.ndarray:
-        """Home slot of each variable.
-
-        Fibonacci hashing alone (the top bits of ``v * _GOLDEN mod
-        2^64``) packs some strided id sets into long runs: stride 2^16
-        modulo the 796,797 variables of n = 4096 put a key 137 slots past
-        its home.  Folding the high half down and multiplying again kept
-        every key within 28 slots of home on every id pattern tried
-        (contiguous, strided, 2-D blocks, random).
-        """
-        h = variables.view(np.uint64) * _GOLDEN
-        h ^= h >> np.uint64(32)
-        h *= _GOLDEN
-        h >>= self._shift
-        return h.view(np.int64)
-
     def _checked(self, variables, paths) -> tuple[np.ndarray, np.ndarray]:
-        """Range-checked ``(variables, paths)``, broadcast together."""
+        """Range-checked ``(variables, paths)``: a boolean ``paths`` stays
+        a copy mask, other ``paths`` become int64 path ids."""
         variables = np.asarray(variables, dtype=np.int64)
-        paths = np.asarray(paths, dtype=np.int64)
+        paths = np.asarray(paths)
         red = self.params.redundancy
-        if ((paths < 0) | (paths >= red)).any():
-            raise ValueError(f"path out of range [0, {red})")
+        if paths.dtype == bool:
+            if variables.ndim != 1 or paths.shape != (variables.size, red):
+                raise ValueError(
+                    f"a copy mask must have shape (len(variables), {red}), "
+                    f"got {paths.shape} for variables of shape {variables.shape}"
+                )
+        else:
+            paths = paths.astype(np.int64, copy=False)
+            if ((paths < 0) | (paths >= red)).any():
+                raise ValueError(f"path out of range [0, {red})")
+            np.broadcast_shapes(variables.shape, paths.shape)
         if ((variables < 0) | (variables >= self.params.num_variables)).any():
             raise ValueError("variable out of range")
-        if variables.shape != paths.shape:
-            variables, paths = np.broadcast_arrays(variables, paths)
         return variables, paths
+
+    def _slots(self, variables: np.ndarray) -> np.ndarray:
+        """Position of each variable's row id in the pool."""
+        chunks = self._directory[variables >> _BLOCK_BITS]
+        return (chunks << _BLOCK_BITS) | (variables & (_BLOCK - 1))
 
     def _rows_of(self, variables: np.ndarray) -> np.ndarray:
         """Table row of each variable; 0 (the unwritten row) if untouched."""
+        return self._pool[self._slots(variables)]
+
+    def _claim_rows(self, variables: np.ndarray) -> np.ndarray:
+        """Table row of each variable, claiming one for each untouched one."""
         flat = variables.reshape(-1)
-        slots = self._home(flat)
-        rows = self._slot_rows[slots]
-        # key ^ v is 0 on a hit and negative on a free slot (-1 ^ v < 0
-        # for v >= 0): both answer with the slot's row.  Only queries
-        # whose slot holds another key probe on.
-        at = np.flatnonzero((self._slot_keys[slots] ^ flat) > 0)
-        if at.size:
-            mask = self._slot_keys.size - 1
-            want, slots = flat[at], slots[at]
-            while at.size:
-                slots = (slots + 1) & mask
-                rows[at] = self._slot_rows[slots]
-                on = (self._slot_keys[slots] ^ want) > 0
-                at, want, slots = at[on], want[on], slots[on]
+        rows = self._rows_of(flat)
+        fresh = rows == 0
+        if fresh.any():
+            fresh_vars = flat[fresh]
+            new = _distinct(np.sort(fresh_vars))
+            blocks = new >> _BLOCK_BITS
+            untouched = _distinct(blocks[self._directory[blocks] == 0])
+            self._directory[untouched] = self._new_chunks(untouched.size)
+            self._pool[self._slots(new)] = self._append_rows(new.size)
+            rows[fresh] = self._rows_of(fresh_vars)
         return rows.reshape(variables.shape)
 
-    def _place(self, keys: np.ndarray, rows: np.ndarray) -> None:
-        """Enter distinct keys, none of them in the index, with their rows.
+    def _new_chunks(self, count: int) -> np.ndarray:
+        """Claim ``count`` pool chunks, each set to zeros; returns their ids."""
+        start, self._chunks = self._chunks, self._chunks + count
+        first, end = start * _BLOCK, self._chunks * _BLOCK
+        self._pool = _with_room(self._pool, first, end)
+        self._pool[first:end] = 0
+        return np.arange(start, self._chunks, dtype=np.int64)
 
-        Every pending key whose slot is free writes itself there and
-        reads the slot back: exactly one writer per slot reads its own
-        key and wins.  The rest probe on to the next slot.
-        """
-        mask = self._slot_keys.size - 1
-        slots = self._home(keys)
-        while keys.size:
-            free = self._slot_keys[slots] == _FREE
-            self._slot_keys[slots[free]] = keys[free]
-            won = self._slot_keys[slots] == keys
-            self._slot_rows[slots[won]] = rows[won]
-            lost = ~won
-            keys, rows, slots = keys[lost], rows[lost], (slots[lost] + 1) & mask
+    def _append_rows(self, count: int) -> np.ndarray:
+        """Claim ``count`` table rows, each set to ``(0, -1)``; returns their ids."""
+        start, self._used = self._used, self._used + count
+        self._values = _with_room(self._values, start, self._used)
+        self._stamps = _with_room(self._stamps, start, self._used)
+        self._values[start : self._used] = 0
+        self._stamps[start : self._used] = _UNWRITTEN_TS
+        return np.arange(start, self._used, dtype=np.int64)
+
+    def _masked(self, rows: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell and variable index of each copy a mask selects, in
+        row-major order.  Flat mask position ``i * q^k + p`` is cell
+        ``rows[i] * q^k + p`` (``np.nonzero`` of a 2-D mask is slower)."""
+        red = self.params.redundancy
+        picked = np.flatnonzero(mask)
+        at = picked // red
+        shift = (rows - np.arange(rows.size, dtype=np.int64)) * red
+        return picked + shift[at], at
 
     def write(self, variables, paths, values, timestamp: int) -> None:
         """Write ``values`` to the given copies, stamping ``timestamp``.
 
-        If a copy appears more than once, its last value wins.
+        With integer ``paths``, ``values`` broadcasts against the
+        flattened copies.  With a ``(len(variables), q^k)`` copy mask,
+        it broadcasts against ``variables``: each variable's value goes
+        to every copy its row selects.  If a copy appears more than
+        once, its last value wins.
         """
         ts = int(timestamp)
         if ts < 0:
@@ -140,29 +165,14 @@ class CopyMemory:
                 f"timestamp must be >= 0 ({_UNWRITTEN_TS} marks an unwritten copy)"
             )
         variables, paths = self._checked(variables, paths)
-        variables = variables.reshape(-1)
-        rows = self._rows_of(variables)
-        fresh = np.flatnonzero(rows == 0)
-        if fresh.size:
-            fresh_vars = variables[fresh]
-            new = np.sort(fresh_vars)
-            first = np.ones(new.size, dtype=bool)
-            np.not_equal(new[1:], new[:-1], out=first[1:])
-            new = new[first]
-            new_rows = self._append_rows(new.size)
-            rows[fresh] = new_rows[new.searchsorted(fresh_vars)]
-            size = self._slot_keys.size
-            while _SLOTS_PER_KEY * (self._used - 1) > size:
-                size *= 2
-            if size > self._slot_keys.size:
-                # Grow: re-place every resident key with the new ones.
-                resident = self._slot_keys != _FREE
-                new = np.concatenate((self._slot_keys[resident], new))
-                new_rows = np.concatenate((self._slot_rows[resident], new_rows))
-                self._new_index(size)
-            self._place(new, new_rows)
-        cells = rows * self.params.redundancy + paths.reshape(-1)
-        values = np.broadcast_to(np.asarray(values, dtype=np.int64), cells.shape)
+        rows = self._claim_rows(variables)
+        values = np.asarray(values, dtype=np.int64)
+        if paths.dtype == bool:
+            cells, at = self._masked(rows, paths)
+            values = np.broadcast_to(values, variables.shape)[at]
+        else:
+            cells = (rows * self.params.redundancy + paths).reshape(-1)
+            values = np.broadcast_to(values, cells.shape)
         flat = self._values.reshape(-1)
         flat[cells] = values
         self._stamps.reshape(-1)[cells] = ts
@@ -172,29 +182,20 @@ class CopyMemory:
             last = cells.size - 1 - np.unique(cells[::-1], return_index=True)[1]
             flat[cells[last]] = values[last]
 
-    def _append_rows(self, count: int) -> np.ndarray:
-        """Claim ``count`` fresh (unwritten) table rows; returns their ids."""
-        start = self._used
-        self._used += count
-        capacity = self._values.shape[0]
-        if self._used > capacity:
-            capacity = max(self._used, 2 * capacity)
-            red = self.params.redundancy
-            values = np.zeros((capacity, red), dtype=np.int64)
-            stamps = np.full((capacity, red), _UNWRITTEN_TS, dtype=np.int64)
-            values[:start] = self._values[:start]
-            stamps[:start] = self._stamps[:start]
-            self._values, self._stamps = values, stamps
-        return np.arange(start, self._used, dtype=np.int64)
-
     def read(self, variables, paths) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(values, timestamps)`` of the given copies.
 
-        Unwritten copies read as ``(0, -1)`` — the machine's initial
-        memory image.
+        Both take the shape of ``variables`` broadcast with integer
+        ``paths``; a copy mask gives the selected copies flat, in
+        row-major order, as ``a[mask]`` does.  Unwritten copies read as
+        ``(0, -1)`` — the machine's initial memory image.
         """
         variables, paths = self._checked(variables, paths)
-        cells = self._rows_of(variables) * self.params.redundancy + paths
+        rows = self._rows_of(variables)
+        if paths.dtype == bool:
+            cells, _ = self._masked(rows, paths)
+        else:
+            cells = rows * self.params.redundancy + paths
         return (
             np.take(self._values.reshape(-1), cells),
             np.take(self._stamps.reshape(-1), cells),
@@ -218,26 +219,21 @@ class CopyMemory:
         ``reached_mask`` has shape ``(N, q^k)``; rows must reach at least
         one copy.  Returns the newest reached value per row (the first
         reached path among equally new ones).  Only the reached copies
-        are fetched.
+        are fetched, through :meth:`read`.
         """
-        variables = np.asarray(variables, dtype=np.int64)
         reached_mask = np.asarray(reached_mask, dtype=bool)
-        red = self.params.redundancy
-        if variables.ndim != 1 or reached_mask.shape != (variables.size, red):
-            raise ValueError(
-                f"reached_mask must have shape (len(variables), {red}), "
-                f"got {reached_mask.shape} for variables of shape {variables.shape}"
-            )
-        if not reached_mask.any(axis=1).all():
-            raise ValueError("every row must reach at least one copy")
+        vals, tss = self.read(variables, reached_mask)
         reached = np.flatnonzero(reached_mask)
-        vals, tss = self.read(variables[reached // red], reached % red)
         newest = np.full(reached_mask.size, _UNWRITTEN_TS - 1, dtype=np.int64)
         newest[reached] = tss
+        red = self.params.redundancy
         pick = newest.reshape(reached_mask.shape).argmax(axis=1)
+        pick += np.arange(0, reached_mask.size, red, dtype=np.int64)
+        if (newest[pick] < _UNWRITTEN_TS).any():
+            raise ValueError("every row must reach at least one copy")
         found = np.zeros(reached_mask.size, dtype=np.int64)
         found[reached] = vals
-        return found[np.arange(pick.size) * red + pick]
+        return found[pick]
 
     @property
     def written_copies(self) -> int:
@@ -253,13 +249,13 @@ class CopyMemory:
         the fault tests rely on.
         """
         red = self.params.redundancy
-        resident = self._slot_keys != _FREE
-        keys = self._slot_keys[resident]
-        order = np.argsort(keys)
-        keys, rows = keys[order], self._slot_rows[resident][order]
+        blocks = np.flatnonzero(self._directory)
+        variables = (blocks[:, None] * _BLOCK + np.arange(_BLOCK)).reshape(-1)
+        rows = self._rows_of(variables)
+        variables, rows = variables[rows > 0], rows[rows > 0]
         stamps = self._stamps[rows]
         hit = stamps >= 0
-        cids = (keys[:, None] * red + np.arange(red, dtype=np.int64))[hit]
+        cids = (variables[:, None] * red + np.arange(red, dtype=np.int64))[hit]
         return dict(
             zip(
                 cids.tolist(),

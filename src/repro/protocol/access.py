@@ -517,16 +517,15 @@ class AccessProtocol:
         # (the PRAM read-compute-write convention).
         out_values = None
         if op == "write":
-            scheme.memory.write(pkt_vars, pkt_paths, values[rows], timestamp)
+            scheme.memory.write(variables, sel, values, timestamp)
         elif op == "read":
             out_values = scheme.memory.read_latest_masked(variables, sel)
         else:  # mixed: returned values are PRE-write (read phase first),
             # so a concurrent reader of a written variable sees the old
             # value — the PRAM read-compute-write convention.
             out_values = scheme.memory.read_latest_masked(variables, sel)
-            w_rows = is_write[rows]
             scheme.memory.write(
-                pkt_vars[w_rows], pkt_paths[w_rows], values[rows][w_rows], timestamp
+                variables[is_write], sel[is_write], values[is_write], timestamp
             )
 
         # A step is "degraded" when it completed but not at full

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.hmos import HMOS
+from repro.hmos.memory import _BLOCK_BITS, CopyMemory
+from repro.hmos.params import HMOSParams
 
 
 @pytest.fixture()
@@ -87,6 +89,39 @@ class TestCopyMemory:
         with pytest.raises(ValueError, match="shape"):
             scheme.memory.read_latest_masked(np.array([7, 5]), np.ones(shape, dtype=bool))
 
+    @pytest.mark.parametrize("shape", [(1, 9), (2, 4), (3, 9), (2, 10), (18,)])
+    def test_copy_mask_checks_shape(self, scheme, shape):
+        """A copy mask needs one row of q^k = 9 flags per variable, in
+        ``read`` and ``write`` alike; a refused write changes nothing."""
+        variables, mask = np.array([7, 5]), np.ones(shape, dtype=bool)
+        with pytest.raises(ValueError, match="shape"):
+            scheme.memory.read(variables, mask)
+        with pytest.raises(ValueError, match="shape"):
+            scheme.memory.write(variables, mask, 1, timestamp=0)
+        assert scheme.memory.snapshot() == {}
+
+    def test_masked_write_and_read(self, scheme):
+        """With a mask each variable is looked up once: every selected
+        copy gets its row's value, and ``read`` returns the selected
+        copies flat, in row-major order.  A variable repeated in a later
+        row wins the copies both rows select."""
+        red = scheme.redundancy
+        variables = np.array([3, 8, 3])
+        mask = np.zeros((3, red), dtype=bool)
+        mask[0, [1, 4]] = mask[1, [0, 2]] = mask[2, [4, 6]] = True
+        scheme.memory.write(variables, mask, np.array([10, 20, 30]), timestamp=2)
+        assert scheme.memory.snapshot() == {
+            3 * red + 1: (10, 2),
+            3 * red + 4: (30, 2),
+            3 * red + 6: (30, 2),
+            8 * red + 0: (20, 2),
+            8 * red + 2: (20, 2),
+        }
+        read_mask = np.zeros((2, red), dtype=bool)
+        read_mask[0, [2, 5]] = read_mask[1, [1, 4]] = True
+        vals, tss = scheme.memory.read(np.array([8, 3]), read_mask)
+        assert vals.tolist() == [20, 0, 10, 30] and tss.tolist() == [2, -1, 2, 2]
+
     def test_write_read_majority_consistency(self, scheme):
         """Write a target set, read any other target set: newest wins.
 
@@ -113,3 +148,30 @@ class TestCopyMemory:
                 continue
             got = scheme.memory.read_latest_masked(v, sel)
             assert int(got[0]) == 1234
+
+
+class TestRowMapFootprint:
+    """The row map at E8's largest size: 581,120,892 variables."""
+
+    PARAMS = HMOSParams(n=16384, alpha=2.0, q=3, k=2)
+
+    def test_fresh_store_holds_at_most_20_mb(self):
+        """The directory (8 B per block of 2^_BLOCK_BITS ids) dominates."""
+        assert self.PARAMS.num_variables == 581_120_892
+        memory = CopyMemory(self.PARAMS)
+        held = sum(a.nbytes for a in vars(memory).values() if isinstance(a, np.ndarray))
+        assert held <= 20_000_000
+
+    def test_write_claims_one_chunk_per_touched_block(self):
+        memory = CopyMemory(self.PARAMS)
+        rng = np.random.default_rng(5)
+        variables = rng.choice(self.PARAMS.num_variables, size=4096, replace=False)
+        mask = rng.random((variables.size, self.PARAMS.redundancy)) < 0.5
+        values = rng.integers(0, 1000, variables.size)
+        memory.write(variables, mask, values, timestamp=1)
+        blocks = np.unique(variables >> _BLOCK_BITS)
+        assert memory._chunks - 1 == blocks.size
+        assert np.array_equal(np.flatnonzero(memory._directory), blocks)
+        vals, tss = memory.read(variables, mask)
+        assert np.array_equal(vals, np.broadcast_to(values[:, None], mask.shape)[mask])
+        assert (tss == 1).all()
