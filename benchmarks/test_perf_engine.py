@@ -10,11 +10,15 @@ speedup while staying step-count preserving (asserted here on the same
 instance; the full equivalence suite lives in
 ``tests/test_engine_equivalence.py``).
 
-Run directly with ``pytest benchmarks/test_perf_engine.py -q``; CI
-uploads the JSON as an artifact.
+Run directly with ``pytest benchmarks/test_perf_engine.py -q``.  With
+``REPRO_PERF_QUICK=1`` (the CI smoke job) the same instance and gate
+record to the gitignored ``BENCH_engine.quick.json``, so a quick run
+never rewrites the committed record; CI uploads that file as an
+artifact.
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -23,7 +27,10 @@ from _harness import instance_metadata
 
 from repro.mesh import Mesh, PacketBatch, SynchronousEngine, reference_route
 
-BENCH_JSON = Path(__file__).parent / "BENCH_engine.json"
+QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
+BENCH_JSON = Path(__file__).parent / (
+    "BENCH_engine.quick.json" if QUICK else "BENCH_engine.json"
+)
 SPEEDUP_TARGET = 3.0
 
 

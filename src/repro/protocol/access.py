@@ -19,6 +19,13 @@ copy: each level's selected keys index the placement's per-level page
 tables.  The keys are released before the result is returned, so a
 logged result keeps no per-copy arrays.
 
+Step plans: without faults, CULLING's selection, every stage's loads
+and every leg's route cost are a pure function of the request array
+(Theorem 1's simulation is deterministic).  Each protocol keeps the
+plans of recent request arrays, keyed by their exact bytes, and a step
+whose array was planned before goes straight to the memory access (see
+:class:`AccessProtocol`).
+
 Two execution engines:
 
 * ``engine="cycle"`` — every stage's packet movement is simulated by the
@@ -31,6 +38,7 @@ Two execution engines:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +61,12 @@ __all__ = [
     "StepError",
     "StepRequest",
 ]
+
+#: The step-plan cache keeps at most this many times ``n`` requests, in
+#: at most ``n`` plans.  A cached request costs about 17 bytes (its int64
+#: key bytes plus a row of the boolean selection), so 16 loads are about
+#: 1.1 MB at n = 4096; a plan adds about 1.5 KB of objects.
+_PLAN_CACHE_LOADS = 16
 
 
 @dataclass(frozen=True)
@@ -203,6 +217,20 @@ class AccessProtocol:
         every copy instead of recomputing the selected copies' chains
         and keys.  Disable only to benchmark the per-step recomputation
         (selections and metrics are identical either way).
+
+    While ``faults`` is ``None`` (checked on every step), the protocol
+    caches the plan of every 1-D request array it served: CULLING's
+    result, with its selection read-only and its ``variables`` a
+    read-only view of the key bytes, plus the stage metrics and the
+    return cost.  A step whose array has the same bytes (order
+    included: requester j sits at node j) reuses that plan and skips
+    CULLING, stage planning and routing, so its values, timestamps and
+    step counts equal a fresh protocol's.  Only a plan whose step
+    succeeded is stored, so every cached array has passed CULLING's
+    checks.  The cache starts empty, belongs to this instance (never
+    to the scheme, which cached builds share), and evicts the least
+    recently used plans beyond ``_PLAN_CACHE_LOADS * n`` requests or
+    ``n`` plans.  The tracer counts hits as ``protocol.plan_hits``.
     """
 
     def __init__(
@@ -224,6 +252,8 @@ class AccessProtocol:
         self._sync = (
             SynchronousEngine(scheme.mesh) if engine == "cycle" else None
         )
+        self._plans: OrderedDict[bytes, tuple] = OrderedDict()
+        self._planned_requests = 0
 
     # -- public API -----------------------------------------------------------
 
@@ -390,7 +420,6 @@ class AccessProtocol:
         self, variables, op, values, *, timestamp: int, is_write=None, tracer
     ) -> AccessResult:
         scheme = self.scheme
-        params = scheme.params
         variables = np.asarray(variables, dtype=np.int64)
         if op in ("write", "mixed"):
             values = np.asarray(values, dtype=np.int64)
@@ -400,6 +429,104 @@ class AccessProtocol:
             is_write = np.asarray(is_write, dtype=bool)
             if is_write.shape != variables.shape:
                 raise ValueError("is_write must align with variables")
+
+        # Fault-free 1-D request arrays are keyed by their bytes; any
+        # other shape is planned, so CULLING refuses it every time.
+        key = None
+        if self.faults is None and variables.ndim == 1:
+            key = variables.tobytes()
+        plan = self._plans.get(key) if key is not None else None
+        reassignments: tuple[tuple[int, int], ...] = ()
+        if plan is not None:
+            self._plans.move_to_end(key)
+            tracer.count("protocol.plan_hits")
+            culling_res, stages, return_steps = plan
+        else:
+            culling_res, stages, return_steps, reassignments = self._plan(
+                variables, tracer
+            )
+
+        if tracer.enabled:
+            self._emit_lane_spans(tracer, op, culling_res, stages, return_steps)
+
+        # Memory access at the copies.  Read phase precedes write phase
+        # (the PRAM read-compute-write convention).
+        sel = culling_res.selected
+        out_values = None
+        if op == "write":
+            scheme.memory.write(variables, sel, values, timestamp)
+        elif op == "read":
+            out_values = scheme.memory.read_latest_masked(variables, sel)
+        else:  # mixed: returned values are PRE-write (read phase first),
+            # so a concurrent reader of a written variable sees the old
+            # value — the PRAM read-compute-write convention.
+            out_values = scheme.memory.read_latest_masked(variables, sel)
+            scheme.memory.write(
+                variables[is_write], sel[is_write], values[is_write], timestamp
+            )
+
+        # A step is "degraded" when it completed but not at full
+        # strength: requests ran through proxies, or surviving copies
+        # forced weaker-than-level-0 starting target sets.
+        start_levels = getattr(culling_res, "start_levels", None)
+        if reassignments or (
+            start_levels is not None
+            and start_levels.size
+            and (start_levels > 0).any()
+        ):
+            tracer.count("protocol.degraded_steps")
+
+        # Only a step that succeeded leaves a plan behind.  The page keys
+        # were only needed for planning; a logged result must not keep
+        # (N, q^k) arrays per level alive.
+        if plan is None:
+            if key is None:
+                culling_res = replace(culling_res, page_keys=None)
+            else:
+                culling_res = self._remember(key, culling_res, stages, return_steps)
+        return AccessResult(
+            op=op,
+            variables=culling_res.variables,
+            values=out_values,
+            culling=culling_res,
+            stages=stages,
+            return_steps=return_steps,
+            reassignments=reassignments,
+        )
+
+    def _remember(self, key: bytes, culling_res, stages, return_steps):
+        """Cache a fault-free step's plan under its request bytes and
+        return the CULLING result the plan keeps.
+
+        The kept result owns no caller array: ``variables`` is a
+        read-only view of ``key`` and ``selected`` is made read-only,
+        so the steps sharing it cannot change it.
+        """
+        culling_res.selected.flags.writeable = False
+        culling_res = replace(
+            culling_res,
+            variables=np.frombuffer(key, dtype=np.int64),
+            page_keys=None,
+        )
+        plans = self._plans
+        plans[key] = (culling_res, stages, return_steps)
+        self._planned_requests += culling_res.variables.size
+        # A plan's objects cost about 1.5 KB whatever its size, so the
+        # plan count is held to n as well.
+        n = self.scheme.params.n
+        while self._planned_requests > _PLAN_CACHE_LOADS * n or len(plans) > n:
+            _, (evicted, _, _) = plans.popitem(last=False)
+            self._planned_requests -= evicted.variables.size
+        return culling_res
+
+    def _plan(self, variables: np.ndarray, tracer):
+        """CULLING, stage planning and route costs of one request array.
+
+        Returns the CULLING result (still carrying its page keys), the
+        stage metrics, the return cost and the processor reassignments.
+        """
+        scheme = self.scheme
+        params = scheme.params
 
         # Degraded mode: requests of dead processors are handed to
         # surviving ranks *before* CULLING (the proxy carries the
@@ -435,26 +562,28 @@ class AccessProtocol:
             )
         else:
             culling_res = cull(scheme, variables, cost_model=self.cost_model)
-        sel = culling_res.selected
         placement = scheme.placement
         k = params.k
         n = params.n
 
-        # One packet per selected copy.  CULLING already keyed every
-        # copy's pages: gather the selected copies' keys, level by
-        # level, rather than recomputing chains and keys per step.
-        rows, pkt_paths = np.nonzero(sel)
+        # One packet per selected copy, in row-major order.  CULLING
+        # already keyed every copy's pages: gather the selected copies'
+        # keys, level by level, rather than recomputing chains and keys
+        # per step.
+        flat = np.flatnonzero(culling_res.selected)
+        rows = flat // params.redundancy
         pkt_vars = variables[rows]
         if self.reuse:
-            flat = rows * params.redundancy + pkt_paths
             page_keys = [keys.reshape(-1)[flat] for keys in culling_res.page_keys]
         else:
+            pkt_paths = flat - rows * params.redundancy
             chains = placement.chains(pkt_vars, pkt_paths)
             page_keys = [
                 placement.page_keys(level, pkt_vars, pkt_paths, chains)
                 for level in range(1, k + 1)
             ]
-        copy_nodes = placement.copy_nodes(pkt_vars, pkt_paths, keys=page_keys[0])
+        # The keys stand in for the copies' paths from here on.
+        copy_nodes = placement.copy_nodes(pkt_vars, None, keys=page_keys[0])
 
         # Origins: requester j sits at mesh node j (any fixed bijection
         # between PRAM processors and mesh nodes works); under processor
@@ -476,7 +605,7 @@ class AccessProtocol:
             else:
                 keys = page_keys[stage - 2]
                 first, last = placement.page_node_spans(
-                    stage - 1, pkt_vars, pkt_paths, keys=keys
+                    stage - 1, None, None, keys=keys
                 )
                 rank = rank_within_groups(keys)
                 span_len = last - first + 1
@@ -496,7 +625,7 @@ class AccessProtocol:
         # them in ONE route_many stepping loop; the model engine charges
         # each leg in closed form.
         forward_steps, return_steps = self._route_legs(positions, stage_info)
-        stages = [
+        stages = tuple(
             StageMetrics(
                 stage=stage,
                 t_nodes=t_nodes,
@@ -508,48 +637,8 @@ class AccessProtocol:
             for i, (stage, t_nodes, delta_in, delta_out, sort_charge) in enumerate(
                 stage_info
             )
-        ]
-
-        if tracer.enabled:
-            self._emit_lane_spans(tracer, op, culling_res, stages, return_steps)
-
-        # Memory access at the copies.  Read phase precedes write phase
-        # (the PRAM read-compute-write convention).
-        out_values = None
-        if op == "write":
-            scheme.memory.write(variables, sel, values, timestamp)
-        elif op == "read":
-            out_values = scheme.memory.read_latest_masked(variables, sel)
-        else:  # mixed: returned values are PRE-write (read phase first),
-            # so a concurrent reader of a written variable sees the old
-            # value — the PRAM read-compute-write convention.
-            out_values = scheme.memory.read_latest_masked(variables, sel)
-            scheme.memory.write(
-                variables[is_write], sel[is_write], values[is_write], timestamp
-            )
-
-        # A step is "degraded" when it completed but not at full
-        # strength: requests ran through proxies, or surviving copies
-        # forced weaker-than-level-0 starting target sets.
-        start_levels = getattr(culling_res, "start_levels", None)
-        if reassignments or (
-            start_levels is not None
-            and start_levels.size
-            and (start_levels > 0).any()
-        ):
-            tracer.count("protocol.degraded_steps")
-
-        # The page keys were only needed for planning; a logged result
-        # must not keep (N, q^k) arrays per level alive.
-        return AccessResult(
-            op=op,
-            variables=variables,
-            values=out_values,
-            culling=replace(culling_res, page_keys=None),
-            stages=tuple(stages),
-            return_steps=return_steps,
-            reassignments=reassignments,
         )
+        return culling_res, stages, return_steps, reassignments
 
     def _emit_lane_spans(self, tracer, op, culling_res, stages, return_steps):
         """Mesh-step lane trace of one access.

@@ -11,7 +11,8 @@ Coverage: 4 steps x {model, cycle} x {fault-free, nodes 3 and 17 plus
 processor 5 failed} x five schemes.  The model engine runs on a
 cache-built scheme (materialized incidence tables), the cycle engine on
 a freshly built one (arithmetic incidence), so both placement paths are
-pinned.
+pinned.  Every case is also replayed a second time on the same
+protocol, so the fault-free steps come from its step plans.
 
 Record (only for an intended behaviour change)::
 
@@ -89,21 +90,40 @@ def _record_step(result) -> dict:
     }
 
 
-def run_case(scheme_key, engine, faults) -> list[dict]:
+def _injector(scheme, faults):
+    if faults == "none":
+        return None
+    injector = FaultInjector(scheme, seed=1)
+    injector.fail_nodes([3, 17])
+    injector.fail_processors([5])
+    return injector
+
+
+def _run_passes(scheme_key, engine, faults, passes) -> list[list]:
+    """Results of ``passes`` runs of the case's steps on one protocol.
+    Each pass starts a fresh fault clock, as the recording did, and the
+    write timestamps keep rising."""
     n, alpha, q, k, curve = scheme_key
     if engine == "model":
         cache = ArtifactCache()
         scheme = cache.scheme(n, alpha, q, k, curve=curve)
     else:
         scheme = HMOS(n, alpha, q, k, curve=curve)
-    injector = None
-    if faults != "none":
-        injector = FaultInjector(scheme, seed=1)
-        injector.fail_nodes([3, 17])
-        injector.fail_processors([5])
-    protocol = AccessProtocol(scheme, engine=engine, faults=injector)
-    seed = n + 10 * q + k
-    results = protocol.run_steps(_steps(scheme, seed), on_error="record")
+    protocol = AccessProtocol(scheme, engine=engine)
+    steps = _steps(scheme, n + 10 * q + k)
+    out = []
+    for done in range(passes):
+        protocol.faults = _injector(scheme, faults)
+        out.append(
+            protocol.run_steps(
+                steps, start_timestamp=1 + done * len(steps), on_error="record"
+            )
+        )
+    return out
+
+
+def run_case(scheme_key, engine, faults) -> list[dict]:
+    (results,) = _run_passes(scheme_key, engine, faults, passes=1)
     return [_record_step(r) for r in results]
 
 
@@ -131,6 +151,28 @@ def test_stage_planning_matches_golden(golden, scheme_key, engine, faults):
     assert run_case(scheme_key, engine, faults) == golden[
         _case_id(scheme_key, engine, faults)
     ]
+
+
+@pytest.mark.parametrize(
+    "scheme_key, engine, faults",
+    _all_cases(),
+    ids=[_case_id(*case) for case in _all_cases()],
+)
+def test_replayed_steps_match_golden(golden, scheme_key, engine, faults):
+    """A second pass on the same protocol reproduces every stage, return
+    and CULLING figure.  Its values are not compared: memory holds the
+    first pass's writes."""
+
+    def figures(records):
+        return [{k: v for k, v in r.items() if k != "values"} for r in records]
+
+    first, second = _run_passes(scheme_key, engine, faults, passes=2)
+    replayed = [_record_step(r) for r in second]
+    assert figures(replayed) == figures(golden[_case_id(scheme_key, engine, faults)])
+    # Fault-free steps were served from the step plans, the others planned
+    # again.
+    served = [b.culling is a.culling for a, b in zip(first, second)]
+    assert served == [faults == "none"] * len(second)
 
 
 def test_golden_is_not_vacuous(golden):
