@@ -8,7 +8,8 @@ nothing: ``SynchronousEngine.route_many`` adds one tracer lookup + one
 full instrumented entry point against the bare ``SteppingCore.run``
 (the exact pre-instrumentation hot path) on the headline engine
 instance and asserts the disabled-mode overhead stays under
-:data:`OVERHEAD_BUDGET` (3%).
+:data:`OVERHEAD_BUDGET` (3%).  The two are timed in :data:`PAIRS`
+alternating pairs and compared best against best.
 
 Enabled-mode cost (wall spans + per-step occupancy bincount) is
 recorded in ``BENCH_obs.json`` for reference but not asserted — it is
@@ -35,6 +36,8 @@ BENCH_JSON = Path(__file__).parent / ("BENCH_obs.quick.json" if QUICK else "BENC
 OVERHEAD_BUDGET = 0.03
 SIDE = 32 if QUICK else 64
 REPEATS = 5 if QUICK else 9
+#: Alternating (bare core, disabled tracer) pairs behind the gate.
+PAIRS = 31
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -48,6 +51,23 @@ def _best_of(fn, repeats=REPEATS):
     return best, out
 
 
+def _best_of_pairs(first, second, pairs=PAIRS):
+    """Minimum wall times of two callables timed in alternating pairs.
+
+    Each pair runs both, swapping which goes first, so a stretch of
+    host noise lands on both sides instead of on one block of runs.
+    """
+    fns = (first, second)
+    best = [float("inf"), float("inf")]
+    out = [None, None]
+    for pair in range(pairs):
+        for side in (pair % 2, 1 - pair % 2):
+            t0 = time.perf_counter()
+            out[side] = fns[side]()
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return best[0], out[0], best[1], out[1]
+
+
 def test_disabled_tracer_overhead():
     mesh = Mesh(SIDE)
     rng = np.random.default_rng(3)
@@ -58,8 +78,9 @@ def test_disabled_tracer_overhead():
     assert obs.current() is obs.NULL_TRACER
 
     # Bare stepping core = the pre-instrumentation route_many body.
-    core_t, core_res = _best_of(lambda: engine._core.run(pair))
-    disabled_t, routed = _best_of(lambda: engine.route(batch))
+    core_t, core_res, disabled_t, routed = _best_of_pairs(
+        lambda: engine._core.run(pair), lambda: engine.route(batch)
+    )
     with obs.capture() as tracer:
         enabled_t, traced = _best_of(lambda: engine.route(batch))
 
@@ -73,7 +94,7 @@ def test_disabled_tracer_overhead():
         "benchmark": "SynchronousEngine.route disabled-tracer overhead "
         f"vs bare SteppingCore.run, n={mesh.n} ({SIDE}x{SIDE})",
         "instance": {"side": SIDE, "packets": mesh.n, "seed": 3,
-                     "quick": QUICK, "repeats": REPEATS,
+                     "quick": QUICK, "pairs": PAIRS, "repeats": REPEATS,
                      **instance_metadata()},
         "core_seconds": core_t,
         "disabled_tracer_seconds": disabled_t,

@@ -6,7 +6,7 @@ Two measurements, both recorded in ``benchmarks/BENCH_protocol.json``
 rewrites the committed full-mode record):
 
 * **Fuzz campaign** — a 200-case differential campaign through
-  ``run_fuzz_parallel`` (direct case generation, sharded process-pool
+  ``run_fuzz`` (seeded case generation, sharded process-pool
   execution, warm HMOS artifact cache) against the pre-PR stack on the
   *same* case stream: plain arithmetic HMOS on both oracle sides,
   per-call curve decoding, ``reuse=False`` protocols, sequential
@@ -42,7 +42,7 @@ import pytest
 from _harness import instance_metadata
 
 from repro.cache import default_cache, reset_default_cache
-from repro.check.fuzz import run_fuzz_parallel
+from repro.check.fuzz import run_fuzz
 from repro.check.generate import random_cases
 from repro.check.oracle import DifferentialOracle
 from repro.hmos.scheme import HMOS
@@ -131,7 +131,7 @@ def test_fuzz_campaign_throughput():
     # Warm the artifact cache over the fuzz parameter grid (the
     # acceptance scenario is a warm-cache campaign; a disjoint seed
     # avoids timing the exact case stream twice).
-    run_fuzz_parallel(seed=99, cases=CAMPAIGN_CASES // 4, workers=1)
+    run_fuzz(seed=99, cases=CAMPAIGN_CASES // 4, workers=1)
 
     def seed_campaign():
         for case in random_cases(0, CAMPAIGN_CASES):
@@ -148,7 +148,7 @@ def test_fuzz_campaign_throughput():
     parallel_t = {}
     for workers in worker_sweep:
         t, report = _timed(
-            lambda w=workers: run_fuzz_parallel(
+            lambda w=workers: run_fuzz(
                 seed=0, cases=CAMPAIGN_CASES, workers=w
             )
         )

@@ -6,15 +6,12 @@ Three pillars (see DESIGN.md, "Differential verification harness"):
   engine, the Theorem 2 cost model, and an ideal PRAM memory image, and
   cross-checks values, delivered packets, congestion, and stage-metric
   invariants after every step;
-* :mod:`repro.check.strategies` + :mod:`repro.check.fuzz` — a
-  deterministic Hypothesis fuzzer over the real parameter space
-  (``repro check fuzz`` on the command line) that shrinks any divergence
-  to a minimized JSON artifact under ``tests/data/repros/``;
+* :mod:`repro.check.generate` + :mod:`repro.check.fuzz` — a seeded
+  case generator over the real parameter space and the campaign that
+  runs it (``repro check fuzz`` on the command line), shrinking any
+  divergence to a minimized JSON artifact under ``tests/data/repros/``;
 * ``tests/property/`` — the per-layer property suite that runs under
   tier-1.
-
-Importing this package does not require :mod:`hypothesis`; only the
-fuzzer and the strategies module do.
 """
 
 from repro.check.case import CaseSpec, StepSpec, load_artifact, save_artifact

@@ -1,32 +1,37 @@
 """Deterministic differential fuzzer with shrinking and repro artifacts.
 
-``run_fuzz(seed, cases)`` drives Hypothesis over
-:func:`repro.check.strategies.case_specs`, executing every generated
-case through the :class:`~repro.check.oracle.DifferentialOracle`.  The
-run is fully deterministic for a given ``(seed, cases)`` pair (explicit
-``@seed``, no example database), so CI failures reproduce locally.
+``run_fuzz(seed, cases)`` draws ``cases`` scenarios from a seeded NumPy
+stream (:func:`repro.check.generate.random_cases`) and executes every
+one through the :class:`~repro.check.oracle.DifferentialOracle`, in
+shards on a process pool when ``workers > 1``.  The campaign is fully
+deterministic in ``(seed, cases, profile)``, so CI failures reproduce
+locally with any worker count.
 
-On the first divergence Hypothesis shrinks the case — fewer steps, fewer
-requests, smaller parameters — and the *minimized* failing case is
-serialized as a JSON artifact under ``tests/data/repros/`` (see
-:mod:`repro.check.case` for the format).  ``replay`` re-executes an
-artifact, which is how a written-down failure becomes a regression test.
+The first divergence (lowest campaign index) is shrunk greedily — fewer
+steps, no fault state, a smaller configuration, fewer requests — and the
+*minimized* failing case is serialized as a JSON artifact under
+``tests/data/repros/`` (see :mod:`repro.check.case` for the format).
+``replay`` re-executes an artifact, which is how a written-down failure
+becomes a regression test.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.check.case import CaseSpec, StepSpec, load_artifact, save_artifact
+from repro.check.generate import feasible_configs, random_cases
 from repro.check.oracle import OracleReport, run_case
+from repro.hmos.params import HMOSParams
+from repro.parallel import parallel_map
 
 __all__ = [
     "DEFAULT_ARTIFACT_DIR",
     "FuzzReport",
     "replay",
     "run_fuzz",
-    "run_fuzz_parallel",
     "shrink_case",
 ]
 
@@ -60,91 +65,6 @@ class FuzzReport:
         )
 
 
-def run_fuzz(
-    seed: int = 0,
-    cases: int = 50,
-    *,
-    artifact_dir: str | Path = DEFAULT_ARTIFACT_DIR,
-    corrupt_read=None,
-    case_runner=None,
-) -> FuzzReport:
-    """Fuzz the protocol stack against the PRAM oracle.
-
-    Parameters
-    ----------
-    seed : int
-        Derandomization seed; same seed, same campaign.
-    cases : int
-        Number of generated cases (shrink attempts come on top).
-    artifact_dir : path
-        Where a minimized failing case is written.
-    corrupt_read : callable, optional
-        Harness self-test hook, forwarded to the oracle.
-    case_runner : callable, optional
-        Replacement for :func:`repro.check.oracle.run_case`
-        (benchmark/self-test hook); receives one CaseSpec.
-
-    Returns
-    -------
-    FuzzReport
-        ``ok=True`` and the case count on success; on divergence,
-        ``ok=False`` with the minimized case and its artifact path.
-    """
-    from hypothesis import HealthCheck, given
-    from hypothesis import seed as hypothesis_seed
-    from hypothesis import settings
-
-    from repro.check.strategies import case_specs
-
-    executed = [0]
-    failing: dict[str, CaseSpec] = {}
-
-    @settings(
-        max_examples=cases,
-        database=None,
-        derandomize=False,
-        deadline=None,
-        print_blob=False,
-        suppress_health_check=list(HealthCheck),
-    )
-    @hypothesis_seed(seed)
-    @given(case=case_specs())
-    def campaign(case: CaseSpec) -> None:
-        executed[0] += 1
-        try:
-            if case_runner is not None:
-                case_runner(case)
-            else:
-                run_case(case, corrupt_read=corrupt_read)
-        except Exception:
-            # Hypothesis replays the minimal example last, so after
-            # shrinking this holds the minimized failing case.
-            failing["case"] = case
-            raise
-
-    try:
-        campaign()
-    except Exception as exc:
-        case = failing.get("case")
-        artifact = None
-        if case is not None:
-            artifact = save_artifact(
-                case, artifact_dir, seed=seed, error=str(exc)
-            )
-        return FuzzReport(
-            ok=False,
-            seed=seed,
-            requested_cases=cases,
-            executed=executed[0],
-            error=str(exc),
-            case=case,
-            artifact=artifact,
-        )
-    return FuzzReport(
-        ok=True, seed=seed, requested_cases=cases, executed=executed[0]
-    )
-
-
 def _execute_shard(payload: dict) -> dict:
     """Process-pool worker: run one shard of cases through the oracle.
 
@@ -154,20 +74,16 @@ def _execute_shard(payload: dict) -> dict:
     """
     failures = []
     for index, case_dict in zip(payload["indices"], payload["cases"]):
-        case = CaseSpec.from_dict(case_dict)
-        try:
-            run_case(case)
-        except Exception as exc:  # noqa: BLE001 - divergence reporting
-            failures.append(
-                {"index": index, "case": case_dict, "error": str(exc)}
-            )
+        error = _case_fails(CaseSpec.from_dict(case_dict), payload["corrupt_read"])
+        if error is not None:
+            failures.append({"index": index, "case": case_dict, "error": error})
     return {"executed": len(payload["cases"]), "failures": failures}
 
 
-def _case_fails(case: CaseSpec) -> str | None:
+def _case_fails(case: CaseSpec, corrupt_read=None) -> str | None:
     """The divergence message if the oracle rejects ``case``, else None."""
     try:
-        run_case(case)
+        run_case(case, corrupt_read=corrupt_read)
     except Exception as exc:  # noqa: BLE001 - divergence reporting
         return str(exc)
     return None
@@ -181,6 +97,21 @@ def _shrunk_steps(case: CaseSpec) -> list[CaseSpec]:
         replace(case, steps=case.steps[:i] + case.steps[i + 1 :])
         for i in range(len(case.steps))
     ]
+
+
+def _on_config(case: CaseSpec, config) -> CaseSpec | None:
+    """``case`` on another ``(n, alpha, q, k)``, its variable ids folded
+    into the new range; None when a step no longer fits (more requests
+    than processors, or ids that fold onto each other)."""
+    n, alpha, q, k = config
+    num_variables = HMOSParams(n=n, alpha=alpha, q=q, k=k).num_variables
+    steps = []
+    for step in case.steps:
+        variables = tuple(v % num_variables for v in step.variables)
+        if len(variables) > n or len(set(variables)) < len(variables):
+            return None
+        steps.append(replace(step, variables=variables))
+    return replace(case, n=n, alpha=alpha, q=q, k=k, steps=tuple(steps))
 
 
 def _chop_step(step: StepSpec, keep: list[int]) -> StepSpec:
@@ -198,15 +129,16 @@ def _chop_step(step: StepSpec, keep: list[int]) -> StepSpec:
 def shrink_case(
     case: CaseSpec, fails, *, max_attempts: int = 250
 ) -> CaseSpec:
-    """Greedy minimization of a failing case (the parallel path's
-    substitute for Hypothesis shrinking).
+    """Greedy minimization of a failing case.
 
     ``fails(candidate)`` must return truthy while the failure persists.
     Passes, repeated to a fixpoint within the attempt budget: drop whole
     steps, clear each fault dimension (memory faults, processor faults,
-    mid-run schedule), then binary-chop each step's request list (halves
-    first, single requests second).  The result still satisfies
-    ``fails``.
+    mid-run schedule), move a fault-free case to the first entry of
+    :func:`~repro.check.generate.feasible_configs` before its own (any
+    entry, for a configuration outside the list) that still fails, then
+    binary-chop each step's request list (halves first, single requests
+    second).  The result still satisfies ``fails``.
     """
     attempts = 0
 
@@ -235,7 +167,19 @@ def shrink_case(
                 if try_candidate(cand):
                     case = cand
                     improved = True
-        # Pass 3: shrink request lists, coarse halves then singles.
+        # Pass 3: a smaller configuration (fault-free cases only: fault
+        # state names nodes of the current mesh).
+        if not (case.failed_nodes or case.failed_processors or case.fault_schedule):
+            config = (case.n, case.alpha, case.q, case.k)
+            for smaller in itertools.takewhile(
+                lambda c: c != config, feasible_configs()
+            ):
+                cand = _on_config(case, smaller)
+                if cand is not None and try_candidate(cand):
+                    case = cand
+                    improved = True
+                    break
+        # Pass 4: shrink request lists, coarse halves then singles.
         for si, step in enumerate(case.steps):
             size = len(step.variables)
             if size <= 1:
@@ -259,31 +203,43 @@ def shrink_case(
     return case
 
 
-def run_fuzz_parallel(
+def run_fuzz(
     seed: int = 0,
     cases: int = 50,
     *,
     workers: int = 1,
     profile: str = "default",
     artifact_dir: str | Path = DEFAULT_ARTIFACT_DIR,
+    corrupt_read=None,
 ) -> FuzzReport:
-    """Sweep-runner fuzz campaign: direct case generation, sharded
-    oracle execution, greedy shrinking.
+    """Fuzz the protocol stack against the PRAM oracle.
 
-    Functionally equivalent to :func:`run_fuzz` — same parameter space,
-    same oracle, same artifact format — but built for throughput: cases
-    come from a seeded NumPy stream (no Hypothesis engine in the loop)
-    and shards run on a process pool (:mod:`repro.parallel`) whose
-    forked workers inherit the parent's HMOS artifact memo.
-    Deterministic in ``(seed, cases, profile)``; the worker count only
-    changes wall-clock, not the case stream or which failure is reported
-    (lowest campaign index wins).  ``profile`` selects the generator mix (see
-    :data:`repro.check.generate.PROFILES`): ``"fault-heavy"`` makes
-    every case carry processor faults and a mid-run fault schedule.
+    Parameters
+    ----------
+    seed : int
+        Seed of the case stream; same seed, same campaign.
+    cases : int
+        Number of generated cases (shrink attempts come on top).
+    workers : int
+        Process-pool size.  Shards of the stream run on forked workers
+        that inherit the parent's HMOS artifact memo; the worker count
+        changes wall-clock only, not the cases or the failure reported.
+    profile : str
+        Generator mix (:data:`repro.check.generate.PROFILES`):
+        ``"fault-heavy"`` makes every case carry processor faults and a
+        mid-run fault schedule.
+    artifact_dir : path
+        Where a minimized failing case is written.
+    corrupt_read : callable, optional
+        Harness self-test hook, forwarded to the oracle (it must pickle
+        for ``workers > 1``).
+
+    Returns
+    -------
+    FuzzReport
+        ``ok=True`` and the case count on success; on divergence,
+        ``ok=False`` with the minimized case and its artifact path.
     """
-    from repro.check.generate import random_cases
-    from repro.parallel import parallel_map
-
     specs = random_cases(seed, cases, profile)
     # Contiguous shards; one pickle round-trip per worker, not per case.
     shard_count = max(1, min(workers, len(specs)))
@@ -294,6 +250,7 @@ def run_fuzz_parallel(
         {
             "indices": list(range(lo, hi)),
             "cases": [c.to_dict() for c in specs[lo:hi]],
+            "corrupt_read": corrupt_read,
         }
         for lo, hi in zip(bounds, bounds[1:])
         if hi > lo
@@ -321,10 +278,10 @@ def run_fuzz_parallel(
 
     def fails(cand: CaseSpec) -> bool:
         shrink_executed[0] += 1
-        return _case_fails(cand) is not None
+        return _case_fails(cand, corrupt_read) is not None
 
     minimized = shrink_case(case, fails)
-    error = _case_fails(minimized) or first["error"]
+    error = _case_fails(minimized, corrupt_read) or first["error"]
     artifact = save_artifact(minimized, artifact_dir, seed=seed, error=error)
     return FuzzReport(
         ok=False,

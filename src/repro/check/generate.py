@@ -1,18 +1,11 @@
-"""Hypothesis-free case generation for the parallel fuzz path.
+"""Seeded case generation for the differential fuzzer.
 
-The default campaign (:func:`repro.check.fuzz.run_fuzz`) drives the
-Hypothesis engine, whose generation and bookkeeping dominate wall-clock
-on these sub-100ms cases.  The ``--workers`` sweep path instead draws
-:class:`~repro.check.case.CaseSpec` instances directly from a seeded
-NumPy generator over the *same* parameter space and bounds — mesh sizes,
-alpha/q/k grid, curves, fault budget, workload mix, step shapes — so the
-distributions match the Hypothesis strategies in
-:mod:`repro.check.strategies` while costing microseconds per case.
-``random_cases(seed, count)`` is deterministic, and pickles to plain
-dicts for process-pool shards.
-
-This module must stay importable without the ``hypothesis`` extra; the
-strategies module re-exports :func:`feasible_configs` from here.
+Draws :class:`~repro.check.case.CaseSpec` instances from a seeded NumPy
+generator over the protocol stack's real parameter space — mesh sizes,
+the alpha/q/k grid, curves, fault budget, workload mix (uniform and the
+adversarial generators of :mod:`repro.hmos.adversary`), step shapes —
+at microseconds per case.  ``random_cases(seed, count)`` is
+deterministic and pickles to plain dicts for process-pool shards.
 """
 
 from __future__ import annotations
@@ -84,10 +77,8 @@ def _scheme_for(n: int, alpha: float, q: int, k: int) -> HMOS:
 def _request_count(rng: np.random.Generator, n: int) -> int:
     """Log-uniform request-set size in ``[1, n]``.
 
-    Standard fuzz sizing — mostly small cases (fast to execute, easy to
-    shrink) with a tail reaching the full-load boundary — which also
-    matches the effective size distribution of the Hypothesis path, so
-    campaign wall-clocks stay comparable per case.
+    Standard fuzz sizing: mostly small cases (fast to execute, easy to
+    shrink) with a tail reaching the full-load boundary.
     """
     return int(np.exp(rng.uniform(0.0, np.log(n + 1))))
 

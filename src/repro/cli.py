@@ -220,31 +220,15 @@ def _cmd_experiments(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.check_command == "fuzz":
-        if (args.workers and args.workers > 1) or args.profile != "default":
-            # Sweep-runner path: direct case generation + process pool
-            # (no hypothesis needed).  Non-default profiles only exist
-            # on this path, so they take it even at --workers 1.
-            from repro.check.fuzz import run_fuzz_parallel
+        from repro.check.fuzz import run_fuzz
 
-            report = run_fuzz_parallel(
-                seed=args.seed,
-                cases=args.cases,
-                workers=args.workers,
-                profile=args.profile,
-                artifact_dir=args.dir,
-            )
-            print(report.summary())
-            return 0 if report.ok else 1
-        try:
-            from repro.check.fuzz import run_fuzz
-        except ImportError:
-            print(
-                "repro check fuzz requires the 'hypothesis' package "
-                "(pip install 'repro[test]'), or use --workers N",
-                file=sys.stderr,
-            )
-            return 2
-        report = run_fuzz(seed=args.seed, cases=args.cases, artifact_dir=args.dir)
+        report = run_fuzz(
+            seed=args.seed,
+            cases=args.cases,
+            workers=args.workers,
+            profile=args.profile,
+            artifact_dir=args.dir,
+        )
         print(report.summary())
         return 0 if report.ok else 1
     # replay
@@ -609,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = check_sub.add_parser(
         "fuzz", help="fuzz cycle engine + cost model vs the PRAM oracle"
     )
-    pf.add_argument("--seed", type=int, default=0, help="derandomization seed")
+    pf.add_argument("--seed", type=int, default=0, help="case-stream seed")
     pf.add_argument("--cases", type=int, default=50, help="generated cases")
     pf.add_argument(
         "--dir",
@@ -620,16 +604,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-pool sweep runner with N workers (direct seeded "
-        "generation instead of the hypothesis engine)",
+        help="run the cases on a process pool of N workers (the same "
+        "cases and verdict at any N)",
     )
     pf.add_argument(
         "--profile",
         choices=_PROFILES,
         default="default",
         help="generator mix: 'fault-heavy' makes every case carry "
-        "processor faults and a mid-run fault schedule (sweep-runner "
-        "path only; implies it even at --workers 1)",
+        "processor faults and a mid-run fault schedule",
     )
     pf.set_defaults(fn=_cmd_check)
     pr = check_sub.add_parser("replay", help="re-execute a repro artifact")

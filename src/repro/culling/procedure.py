@@ -15,6 +15,13 @@ The invariant "``C_v^{i-1}`` is a level-(i-1) target set" guarantees the
 augmenting branch always succeeds: level-(i-1) thresholds dominate
 level-i thresholds node-by-node.
 
+With failed memory nodes (``allowed=``, our static-fault extension) the
+invariant may be unattainable: each variable starts from the strongest
+level its surviving copies still support, and an iteration whose level
+a variable cannot yet reach keeps that variable's selection.  Variables
+without even a level-k target set are *unrecoverable*; every other one
+keeps full read/write consistency (any two target sets intersect).
+
 Cost accounting follows Eq. (2): each iteration sorts/ranks the <= q^k n
 selected copies by destination page (``O(q^k sqrt(n))`` mesh steps) and
 does ``O(q^k)`` local work per processor, so
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hmos.copytree import extract_min_target_set
+from repro.hmos.copytree import access_mask, extract_min_target_set
 from repro.hmos.scheme import HMOS
 from repro.mesh.costmodel import CostModel
 from repro.mesh.ksort import kk_sort_steps
@@ -76,6 +83,10 @@ class CullingResult:
         shape ``(N, q^k)``: the keys CULLING marked by.  The access
         protocol plans its stages from the selected copies' keys and
         releases them (``None``) before returning its result.
+    start_levels : np.ndarray or None
+        With an availability mask: per variable, the strongest (lowest)
+        tree level whose target-set thresholds its surviving copies
+        still meet (0 = undamaged).  ``None`` for fault-free CULLING.
     """
 
     variables: np.ndarray
@@ -83,6 +94,7 @@ class CullingResult:
     iterations: tuple[IterationStats, ...]
     charged_steps: float
     page_keys: tuple[np.ndarray, ...] | None = None
+    start_levels: np.ndarray | None = None
 
     @property
     def total_selected(self) -> int:
@@ -120,18 +132,48 @@ def _max_page_load(keys: np.ndarray, selected: np.ndarray) -> int:
 def _check_distinct(variables: np.ndarray) -> None:
     """Refuse a request set that names a variable twice.
 
-    Sorting and comparing neighbours is much cheaper than ``np.unique``;
-    ``axis=None`` flattens, so any shape is checked as a whole.
+    Sorting and comparing neighbours is much cheaper than ``np.unique``.
     """
-    ordered = np.sort(variables, axis=None)
+    ordered = np.sort(variables)
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("request set must contain distinct variables")
+
+
+def _start_from_survivors(
+    allowed: np.ndarray, variables: np.ndarray, q: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start levels and starting target sets under copy availability.
+
+    Each variable starts from a minimal target set of the strongest
+    (lowest) level its available copies support.  Raises RuntimeError
+    naming the variables with no level-k target set left.
+    """
+    start_levels = np.full(variables.size, -1, dtype=np.int64)
+    for level in range(k, -1, -1):
+        start_levels[access_mask(allowed, q, k, level)] = level
+    dead = start_levels < 0
+    if dead.any():
+        raise RuntimeError(
+            f"{int(dead.sum())} variable(s) unrecoverable after failures: "
+            f"{variables[dead][:10].tolist()}"
+        )
+    selected = np.zeros(allowed.shape, dtype=bool)
+    for level in range(k + 1):
+        rows = start_levels == level
+        if rows.any():
+            _, chosen, _ = extract_min_target_set(
+                allowed[rows], allowed[rows], q, k, level
+            )
+            selected[rows] = chosen
+    return start_levels, selected
 
 
 def cull(
     scheme: HMOS,
     variables: np.ndarray,
     *,
+    allowed: np.ndarray | None = None,
+    chains: np.ndarray | None = None,
     cost_model: CostModel | None = None,
     accounting: str = "model",
 ) -> CullingResult:
@@ -144,6 +186,13 @@ def cull(
     variables : array of int
         Requested variable ids; must be distinct (a PRAM step accesses
         distinct cells; concurrent accesses are combined upstream).
+    allowed : bool array, shape (N, q^k), optional
+        Copy availability under failed memory nodes (see
+        :meth:`repro.hmos.faults.FaultInjector.allowed_mask`).  Selected
+        copies stay within it, and the result carries ``start_levels``.
+    chains : int array, shape (N, q^k, k), optional
+        Module chains of every copy, when the caller already derived
+        them (e.g. to build ``allowed``).
     accounting : {"model", "measured"}
         How the per-iteration sort-and-rank is charged: ``"model"`` uses
         the cited ``O(q^k sqrt(n))`` bound through the cost model;
@@ -156,6 +205,12 @@ def cull(
     -------
     CullingResult
         Final target sets plus diagnostics and the Eq. (2) time charge.
+
+    Raises
+    ------
+    RuntimeError
+        If, under ``allowed``, a requested variable has no available
+        level-k target set (unrecoverable); the message lists them.
     """
     params = scheme.params
     variables = np.asarray(variables, dtype=np.int64)
@@ -170,6 +225,12 @@ def cull(
         )
     if accounting not in ("model", "measured"):
         raise ValueError(f"accounting must be 'model' or 'measured', got {accounting!r}")
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+        if allowed.shape != (variables.size, params.redundancy):
+            raise ValueError(
+                f"allowed must have shape ({variables.size}, {params.redundancy})"
+            )
     if variables.size == 0:
         # No requests: nothing moves, nothing is charged.
         return CullingResult(
@@ -178,15 +239,21 @@ def cull(
             iterations=(),
             charged_steps=0.0,
             page_keys=(np.zeros((0, params.redundancy), dtype=np.int64),) * params.k,
+            start_levels=None if allowed is None else np.zeros(0, dtype=np.int64),
         )
     cost_model = cost_model or CostModel()
     q, k = params.q, params.k
     red = params.redundancy
     n_req = variables.size
 
-    selected = scheme.initial_target_masks(n_req)
+    start_levels = None
+    if allowed is None:
+        selected = scheme.initial_target_masks(n_req)
+    else:
+        start_levels, selected = _start_from_survivors(allowed, variables, q, k)
     paths = np.arange(red, dtype=np.int64)
-    chains = scheme.placement.chains(variables)  # (N, q^k, k), every copy
+    if chains is None:
+        chains = scheme.placement.chains(variables)  # (N, q^k, k), every copy
 
     stats: list[IterationStats] = []
     page_keys: list[np.ndarray] = []
@@ -202,9 +269,14 @@ def cull(
             marked, selected, q, k, level
         )
         if not feasible.all():
-            raise AssertionError(
-                "CULLING invariant violated: C^{i-1} lost its target set"
-            )
+            if allowed is None:
+                raise AssertionError(
+                    "CULLING invariant violated: C^{i-1} lost its target set"
+                )
+            # Variables too damaged for this level keep their selection.
+            keep = ~feasible
+            chosen[keep] = selected[keep]
+            added[keep] = 0
         selected = chosen
         stats.append(
             IterationStats(
@@ -231,4 +303,5 @@ def cull(
         iterations=tuple(stats),
         charged_steps=charged,
         page_keys=tuple(page_keys),
+        start_levels=start_levels,
     )

@@ -302,7 +302,7 @@ class FaultInjector:
         v_grid = np.repeat(variables, red)
         p_grid = np.tile(np.arange(red, dtype=np.int64), variables.size)
         if chains is not None:
-            chains = np.asarray(chains).reshape(v_grid.size, -1)
+            chains = np.asarray(chains).reshape(v_grid.size, self.scheme.params.k)
         nodes = self.scheme.placement.copy_nodes(v_grid, p_grid, chains).reshape(
             variables.size, red
         )

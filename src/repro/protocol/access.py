@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.culling import CullingResult, cull
-from repro.culling.faults import cull_with_faults
 from repro.hmos.faults import FaultInjector
 from repro.hmos.scheme import HMOS
 from repro.mesh.costmodel import CostModel
@@ -468,11 +467,9 @@ class AccessProtocol:
         # A step is "degraded" when it completed but not at full
         # strength: requests ran through proxies, or surviving copies
         # forced weaker-than-level-0 starting target sets.
-        start_levels = getattr(culling_res, "start_levels", None)
+        start_levels = culling_res.start_levels
         if reassignments or (
-            start_levels is not None
-            and start_levels.size
-            and (start_levels > 0).any()
+            start_levels is not None and (start_levels > 0).any()
         ):
             tracer.count("protocol.degraded_steps")
 
@@ -548,20 +545,19 @@ class AccessProtocol:
             if moved.size:
                 tracer.count("protocol.reassigned_requests", int(moved.size))
 
+        allowed = full_chains = None
         if self.faults is not None and self.faults.failed_nodes.size:
             # One full-grid chain derivation shared by the availability
-            # mask and fault-aware CULLING (which would otherwise each
-            # derive it independently).
+            # mask and CULLING (which would otherwise each derive it).
             full_chains = scheme.placement.chains(variables) if self.reuse else None
-            culling_res: CullingResult = cull_with_faults(
-                scheme,
-                variables,
-                self.faults.allowed_mask(variables, chains=full_chains),
-                cost_model=self.cost_model,
-                chains=full_chains,
-            )
-        else:
-            culling_res = cull(scheme, variables, cost_model=self.cost_model)
+            allowed = self.faults.allowed_mask(variables, chains=full_chains)
+        culling_res = cull(
+            scheme,
+            variables,
+            allowed=allowed,
+            chains=full_chains,
+            cost_model=self.cost_model,
+        )
         placement = scheme.placement
         k = params.k
         n = params.n

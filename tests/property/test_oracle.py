@@ -11,16 +11,18 @@ and replayable.
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check import CaseSpec, DivergenceError, StepSpec, load_artifact, run_case
 from repro.check.fuzz import replay, run_fuzz
-from repro.check.strategies import case_specs, feasible_configs
+from repro.check.generate import PROFILES, feasible_configs, random_case
 
 
 class TestOracleFuzz:
     @settings(max_examples=20)
-    @given(case=case_specs())
-    def test_stack_matches_pram_semantics(self, case):
+    @given(seed=st.integers(0, 2**63 - 1), profile=st.sampled_from(PROFILES))
+    def test_stack_matches_pram_semantics(self, seed, profile):
+        case = random_case(np.random.default_rng(seed), profile)
         report = run_case(case)
         assert report.steps_checked + report.steps_skipped == len(case.steps)
         # Fault-free cases can never be refused.  (Processor faults and

@@ -16,7 +16,7 @@ import pytest
 
 from repro.bibd import BalancedSubgraph
 from repro.cache import ArtifactCache, reset_default_cache
-from repro.check.fuzz import run_fuzz_parallel
+from repro.check.fuzz import run_fuzz
 from repro.check.generate import random_cases
 from repro.check.oracle import run_case
 from repro.culling import cull
@@ -194,7 +194,7 @@ def test_builds_and_parallel_fuzz_write_no_files(tmp_path, monkeypatch):
     reset_default_cache()
     try:
         HMOS.cached(64, 1.5)
-        report = run_fuzz_parallel(seed=0, cases=6, workers=2)
+        report = run_fuzz(seed=0, cases=6, workers=2)
         assert report.ok, report.summary()
         # The campaign above is small enough to run inline; this map
         # forces pool workers that build schemes of their own.

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.check.case import CaseSpec, StepSpec
-from repro.check.fuzz import run_fuzz_parallel, shrink_case
+from repro.check.fuzz import run_fuzz, shrink_case
 from repro.check.generate import PROFILES, random_case, random_cases
 from repro.check.oracle import run_case
 from repro.hmos.faults import FaultEvent
@@ -71,7 +71,7 @@ class TestOracleCertification:
             )
 
     def test_campaign_through_sweep_runner(self, tmp_path):
-        report = run_fuzz_parallel(
+        report = run_fuzz(
             seed=1, cases=12, workers=2, profile="fault-heavy",
             artifact_dir=tmp_path,
         )

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -124,8 +130,7 @@ class TestCheckCommand:
         assert not list(tmp_path.iterdir())  # clean run leaves no artifacts
 
     def test_fuzz_fault_heavy_profile(self, capsys, tmp_path):
-        """--profile fault-heavy takes the sweep-runner path even at
-        --workers 1 and certifies cleanly."""
+        """--profile fault-heavy certifies cleanly at --workers 1."""
         assert main([
             "check", "fuzz", "--seed", "0", "--cases", "3",
             "--profile", "fault-heavy", "--dir", str(tmp_path),
@@ -133,6 +138,23 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "fuzz ok: 3 cases" in out
         assert not list(tmp_path.iterdir())
+
+    def test_fuzz_never_imports_hypothesis(self, tmp_path):
+        """The campaign runs without the test extra: nothing it imports
+        pulls in hypothesis."""
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "check",
+             "fuzz", "--cases", "2", "--dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "fuzz ok: 2 cases" in proc.stdout
+        imported = [line for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert imported  # -X importtime reported the run's imports
+        assert not [line for line in imported if "hypothesis" in line]
 
     def test_fuzz_rejects_unknown_profile(self):
         with pytest.raises(SystemExit):

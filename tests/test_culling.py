@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.culling import audit_theorem3, cull, cull_with_faults, page_congestion
+from repro.culling import audit_theorem3, cull, page_congestion
 from repro.culling.procedure import _mark_with_cap
 from repro.hmos import HMOS
 from repro.hmos.copytree import target_set_size
@@ -91,18 +91,17 @@ class TestCull:
             cull(scheme64, np.array([1, 1]))
 
     @pytest.mark.parametrize(
-        "run",
-        [
-            cull,
-            lambda scheme, v: cull_with_faults(
-                scheme, v, np.ones((v.size, scheme.redundancy), dtype=bool)
-            ),
-        ],
-        ids=["cull", "cull_with_faults"],
+        "healthy", [False, True], ids=["allowed=None", "allowed=ones"]
     )
-    def test_rejects_non_adjacent_duplicates(self, scheme64, run):
+    def test_rejects_non_adjacent_duplicates(self, scheme64, healthy):
+        variables = np.array([5, 1, 5])
+        allowed = (
+            np.ones((variables.size, scheme64.redundancy), dtype=bool)
+            if healthy
+            else None
+        )
         with pytest.raises(ValueError, match="distinct"):
-            run(scheme64, np.array([5, 1, 5]))
+            cull(scheme64, variables, allowed=allowed)
 
     def test_rejects_too_many_requests(self, scheme64):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.culling import cull_with_faults
+from repro.culling import cull
 from repro.hmos import HMOS, FaultInjector
 from repro.protocol import AccessProtocol
 
@@ -55,9 +55,26 @@ class TestFaultyCulling:
     def test_matches_normal_when_healthy(self, scheme):
         variables = np.arange(64)
         allowed = np.ones((64, scheme.redundancy), dtype=bool)
-        res = cull_with_faults(scheme, variables, allowed)
+        res = cull(scheme, variables, allowed=allowed)
         assert scheme.is_target_set(res.selected).all()
         np.testing.assert_array_equal(res.start_levels, 0)
+        assert cull(scheme, variables).start_levels is None
+        # An all-available mask changes nothing: same selection, same
+        # iteration stats, same charge, on full-load request sets.
+        rng = np.random.default_rng(0)
+        for config in ((64, 1.5, 3, 2), (256, 1.25, 3, 2), (1024, 1.5, 3, 2),
+                       (64, 1.5, 4, 1)):
+            other = HMOS.cached(*config)
+            n = other.params.n
+            variables = rng.choice(other.num_variables, n, replace=False)
+            ones = np.ones((n, other.redundancy), dtype=bool)
+            healthy = cull(other, variables, allowed=ones)
+            plain = cull(other, variables)
+            np.testing.assert_array_equal(healthy.selected, plain.selected)
+            assert healthy.iterations == plain.iterations
+            assert healthy.charged_steps == plain.charged_steps
+            np.testing.assert_array_equal(healthy.start_levels, 0)
+            assert plain.start_levels is None
 
     def test_selected_avoid_failed_copies(self, scheme):
         inj = FaultInjector(scheme)
@@ -67,7 +84,7 @@ class TestFaultyCulling:
         allowed = inj.allowed_mask(variables)
         if not inj.recoverable(variables).all():
             pytest.skip("random failures too damaging for this seed")
-        res = cull_with_faults(scheme, variables, allowed)
+        res = cull(scheme, variables, allowed=allowed)
         assert not np.any(res.selected & ~allowed)
         assert scheme.is_target_set(res.selected).all()
 
@@ -76,7 +93,7 @@ class TestFaultyCulling:
         allowed = np.ones((8, scheme.redundancy), dtype=bool)
         allowed[3] = False  # variable 3 lost every copy
         with pytest.raises(RuntimeError, match="unrecoverable"):
-            cull_with_faults(scheme, variables, allowed)
+            cull(scheme, variables, allowed=allowed)
 
     def test_degraded_start_levels(self, scheme):
         """Knocking out one copy forces a weaker starting level for the
@@ -84,7 +101,7 @@ class TestFaultyCulling:
         variables = np.arange(8)
         allowed = np.ones((8, scheme.redundancy), dtype=bool)
         allowed[2, 0] = False
-        res = cull_with_faults(scheme, variables, allowed)
+        res = cull(scheme, variables, allowed=allowed)
         assert res.start_levels[2] > 0
         assert res.start_levels[1] == 0
 
@@ -117,6 +134,23 @@ class TestFaultyProtocol:
         inj.heal_nodes(dead)  # stale copy (value 1, ts 1) reappears
         res = proto.read(v)
         np.testing.assert_array_equal(res.values, 2)
+
+    @pytest.mark.parametrize("engine", ["model", "cycle"])
+    def test_request_checks_apply_under_failures(self, engine):
+        """Failed nodes do not bypass CULLING's request checks: more
+        requests than processors and a 2-D request array are refused as
+        on a healthy mesh, and an empty step costs nothing."""
+        scheme = HMOS.cached(64, 1.5, 3, 2)
+        inj = FaultInjector(scheme)
+        inj.fail_nodes([5])
+        proto = AccessProtocol(scheme, engine=engine, faults=inj)
+        with pytest.raises(ValueError, match="at most one request per processor"):
+            proto.read(np.arange(scheme.params.n + 1))
+        with pytest.raises(ValueError, match="1-D"):
+            proto.read(np.arange(8).reshape(2, 4))
+        empty = proto.read(np.zeros(0, dtype=np.int64))
+        assert empty.total_steps == 0.0
+        assert empty.culling.start_levels.size == 0
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))

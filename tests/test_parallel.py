@@ -1,5 +1,5 @@
-"""The sweep runner (:mod:`repro.parallel`) and the hypothesis-free
-fuzz path (:func:`repro.check.fuzz.run_fuzz_parallel`).
+"""The sweep runner (:mod:`repro.parallel`) and the fuzz campaign
+(:func:`repro.check.fuzz.run_fuzz`) on it.
 
 Determinism is the load-bearing property: the case stream, the campaign
 verdict, and the reported failure must not depend on the worker count —
@@ -16,7 +16,7 @@ import pytest
 
 import repro.check.fuzz as fuzz_mod
 from repro.check.case import CaseSpec, StepSpec, load_artifact
-from repro.check.fuzz import run_fuzz_parallel, shrink_case
+from repro.check.fuzz import run_fuzz, shrink_case
 from repro.check.generate import feasible_configs, random_cases
 from repro.parallel import parallel_map, run_commands
 
@@ -120,7 +120,7 @@ def test_case_dict_roundtrip():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_fuzz_parallel_green_campaign(workers, tmp_path):
-    report = run_fuzz_parallel(
+    report = run_fuzz(
         seed=11, cases=12, workers=workers, artifact_dir=tmp_path
     )
     assert report.ok, report.summary()
@@ -129,8 +129,8 @@ def test_run_fuzz_parallel_green_campaign(workers, tmp_path):
 
 
 def test_run_fuzz_parallel_worker_count_invariant(tmp_path):
-    solo = run_fuzz_parallel(seed=11, cases=12, workers=1, artifact_dir=tmp_path)
-    duo = run_fuzz_parallel(seed=11, cases=12, workers=2, artifact_dir=tmp_path)
+    solo = run_fuzz(seed=11, cases=12, workers=1, artifact_dir=tmp_path)
+    duo = run_fuzz(seed=11, cases=12, workers=2, artifact_dir=tmp_path)
     assert solo == duo
 
 
@@ -197,7 +197,7 @@ def test_run_fuzz_parallel_failure_path(tmp_path, monkeypatch):
         return real_run_case(case, **kwargs)
 
     monkeypatch.setattr(fuzz_mod, "run_case", sabotaged)
-    report = run_fuzz_parallel(
+    report = run_fuzz(
         seed=11, cases=12, workers=1, artifact_dir=tmp_path
     )
     assert not report.ok
