@@ -34,11 +34,6 @@ class BaselineResult:
     max_module_load: int
     mesh_steps: int
 
-    @property
-    def contention_bound(self) -> int:
-        """Any schedule needs at least this many module cycles."""
-        return self.max_module_load
-
 
 def evaluate_scheme(
     scheme: MemoryScheme,

@@ -97,10 +97,6 @@ class HMOS:
     def redundancy(self) -> int:
         return self.params.redundancy
 
-    def all_paths(self) -> np.ndarray:
-        """All ``q^k`` copy paths (leaf indices of T_v)."""
-        return np.arange(self.params.redundancy, dtype=np.int64)
-
     def initial_target_masks(self, count: int) -> np.ndarray:
         """CULLING's starting point ``C_v^0``: a minimal *level-0* target
         set per variable (supermajority at every tree level).

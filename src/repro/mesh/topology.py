@@ -25,6 +25,9 @@ __all__ = ["Mesh", "CURVES"]
 
 CURVES = ("morton", "hilbert", "row")
 
+#: Largest mesh whose curve rank tables are memoized.
+_TABLE_MAX_N = 1 << 20
+
 
 class Mesh:
     """An ``side x side`` mesh-connected computer (``n = side**2`` nodes).
@@ -58,12 +61,10 @@ class Mesh:
         self._rank_to_node: np.ndarray | None = None
         self._node_to_rank: np.ndarray | None = None
 
-    _TABLE_MAX_N = 1 << 20
-
     def _tables(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The memoized ``(rank -> node, node -> rank)`` tables, built on
         first use; None for curves/sizes where they don't pay off."""
-        if self.curve == "row" or self.n > self._TABLE_MAX_N:
+        if self.curve == "row" or self.n > _TABLE_MAX_N:
             return None
         if self._rank_to_node is None:
             ranks = np.arange(self.n, dtype=np.int64)
@@ -121,11 +122,6 @@ class Mesh:
         else:
             row, col = morton_decode(ranks, self.bits)
         return row * self.side + col
-
-    def morton_rank(self, node_ids) -> np.ndarray:
-        """Historical alias of :meth:`rank_of` (the default curve is
-        Morton; with another curve this returns that curve's ranks)."""
-        return self.rank_of(node_ids)
 
     def _check(self, node_ids) -> np.ndarray:
         ids = np.asarray(node_ids, dtype=np.int64)

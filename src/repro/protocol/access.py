@@ -211,11 +211,6 @@ class AccessProtocol:
         every step boundary (mid-run deaths).  Availability and
         liveness are recomputed from the injector's *current* state on
         every step, never precomputed for a whole stream.
-    reuse : bool, default True
-        Plan the stages from the page keys CULLING already computed for
-        every copy instead of recomputing the selected copies' chains
-        and keys.  Disable only to benchmark the per-step recomputation
-        (selections and metrics are identical either way).
 
     While ``faults`` is ``None`` (checked on every step), the protocol
     caches the plan of every 1-D request array it served: CULLING's
@@ -239,7 +234,6 @@ class AccessProtocol:
         engine: str = "cycle",
         cost_model: CostModel | None = None,
         faults: FaultInjector | None = None,
-        reuse: bool = True,
     ):
         if engine not in ("cycle", "model"):
             raise ValueError(f"engine must be 'cycle' or 'model', got {engine!r}")
@@ -247,7 +241,6 @@ class AccessProtocol:
         self.engine = engine
         self.cost_model = cost_model or CostModel()
         self.faults = faults
-        self.reuse = reuse
         self._sync = (
             SynchronousEngine(scheme.mesh) if engine == "cycle" else None
         )
@@ -549,7 +542,7 @@ class AccessProtocol:
         if self.faults is not None and self.faults.failed_nodes.size:
             # One full-grid chain derivation shared by the availability
             # mask and CULLING (which would otherwise each derive it).
-            full_chains = scheme.placement.chains(variables) if self.reuse else None
+            full_chains = scheme.placement.chains(variables)
             allowed = self.faults.allowed_mask(variables, chains=full_chains)
         culling_res = cull(
             scheme,
@@ -569,15 +562,7 @@ class AccessProtocol:
         flat = np.flatnonzero(culling_res.selected)
         rows = flat // params.redundancy
         pkt_vars = variables[rows]
-        if self.reuse:
-            page_keys = [keys.reshape(-1)[flat] for keys in culling_res.page_keys]
-        else:
-            pkt_paths = flat - rows * params.redundancy
-            chains = placement.chains(pkt_vars, pkt_paths)
-            page_keys = [
-                placement.page_keys(level, pkt_vars, pkt_paths, chains)
-                for level in range(1, k + 1)
-            ]
+        page_keys = [keys.reshape(-1)[flat] for keys in culling_res.page_keys]
         # The keys stand in for the copies' paths from here on.
         copy_nodes = placement.copy_nodes(pkt_vars, None, keys=page_keys[0])
 

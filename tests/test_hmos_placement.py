@@ -142,7 +142,7 @@ class TestCopyNodes:
         v = rng.integers(0, p.num_variables, 100)
         paths = rng.integers(0, p.redundancy, 100)
         nodes = small.copy_nodes(v, paths)
-        ranks = small.mesh.morton_rank(nodes)
+        ranks = small.mesh.rank_of(nodes)
         for level in range(1, p.k + 1):
             first, last = small.placement.page_node_spans(level, v, paths)
             assert np.all(ranks >= first) and np.all(ranks <= last)

@@ -69,11 +69,11 @@ class TestMesh:
     def test_morton_roundtrip(self):
         mesh = Mesh(8)
         ids = np.arange(mesh.n)
-        np.testing.assert_array_equal(mesh.node_of_rank(mesh.morton_rank(ids)), ids)
+        np.testing.assert_array_equal(mesh.node_of_rank(mesh.rank_of(ids)), ids)
 
     def test_morton_is_permutation(self):
         mesh = Mesh(8)
-        ranks = mesh.morton_rank(np.arange(mesh.n))
+        ranks = mesh.rank_of(np.arange(mesh.n))
         assert sorted(ranks.tolist()) == list(range(mesh.n))
 
     def test_distance(self):

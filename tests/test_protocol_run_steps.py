@@ -102,17 +102,6 @@ def test_run_steps_equals_per_step_with_faults():
         _assert_results_equal(a, b)
 
 
-def test_reuse_flag_does_not_change_results():
-    rng = np.random.default_rng(2)
-    requests = _mixed_stream(_scheme().num_variables, rng, steps=6)
-    with_reuse = AccessProtocol(_scheme(), engine="model", reuse=True)
-    without = AccessProtocol(_scheme(), engine="model", reuse=False)
-    for a, b in zip(
-        with_reuse.run_steps(requests), without.run_steps(requests)
-    ):
-        _assert_results_equal(a, b)
-
-
 def _protocol_with_dead_variable():
     """A faulted protocol plus one recoverable and one unrecoverable
     variable (found, not hard-coded, so parameter tweaks keep working)."""
