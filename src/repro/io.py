@@ -9,7 +9,6 @@ round-trip both through JSON so runs can be archived and re-created.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -19,15 +18,11 @@ from repro.util.fsio import write_text_atomic
 
 __all__ = [
     "ACCESS_RESULT_FORMAT",
-    "AccessRecord",
-    "CullingIterationRecord",
-    "StageRecord",
     "scheme_to_config",
     "scheme_from_config",
     "save_config",
     "load_config",
     "access_result_to_dict",
-    "access_result_from_dict",
 ]
 
 #: Format stamp of the flattened access-result archive schema.
@@ -106,8 +101,7 @@ def load_config(path: str | Path) -> HMOS:
 def access_result_to_dict(result: AccessResult) -> dict[str, Any]:
     """Flatten one step's accounting for logging/archival.
 
-    The payload is stamped ``repro.access/1`` and round-trips through
-    :func:`access_result_from_dict`.
+    The payload is plain JSON data stamped ``repro.access/1``.
     """
     return {
         "format": ACCESS_RESULT_FORMAT,
@@ -139,119 +133,3 @@ def access_result_to_dict(result: AccessResult) -> dict[str, Any]:
             for it in result.culling.iterations
         ],
     }
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    """Archived accounting of one routing stage (mirrors ``StageMetrics``)."""
-
-    stage: int
-    t_nodes: int
-    delta_in: int
-    delta_out: int
-    sort_steps: float
-    route_steps: float
-
-
-@dataclass(frozen=True)
-class CullingIterationRecord:
-    """Archived per-level CULLING diagnostics."""
-
-    level: int
-    cap: int
-    marked: int
-    max_page_load: int
-
-
-@dataclass(frozen=True)
-class AccessRecord:
-    """A loaded ``repro.access/1`` archive entry.
-
-    The accounting view of one :class:`AccessResult` — everything
-    :func:`access_result_to_dict` flattens, minus the live arrays —
-    reconstructed so archived runs can be analyzed without replaying
-    them.  ``to_dict`` reproduces the archived payload bit-identically.
-    """
-
-    op: str
-    requests: int
-    total_steps: float
-    culling_steps: float
-    return_steps: float
-    selected_copies: int
-    stages: tuple[StageRecord, ...]
-    culling_iterations: tuple[CullingIterationRecord, ...]
-    #: Requests served by a proxy because their processor was dead
-    #: (0 in archives written before the degraded-mode extension).
-    reassigned: int = 0
-
-    @property
-    def protocol_steps(self) -> float:
-        """Forward + return routing cost (matches ``AccessResult``)."""
-        return (
-            sum(s.sort_steps + s.route_steps for s in self.stages)
-            + self.return_steps
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "format": ACCESS_RESULT_FORMAT,
-            "op": self.op,
-            "requests": self.requests,
-            "total_steps": self.total_steps,
-            "culling_steps": self.culling_steps,
-            "return_steps": self.return_steps,
-            "selected_copies": self.selected_copies,
-            "reassigned": self.reassigned,
-            "stages": [asdict(s) for s in self.stages],
-            "culling_iterations": [asdict(it) for it in self.culling_iterations],
-        }
-
-
-def access_result_from_dict(data: dict[str, Any]) -> AccessRecord:
-    """Load an archived access result; validates the format stamp.
-
-    Raises ``ValueError`` on a missing/unsupported stamp or a payload
-    that does not match the ``repro.access/1`` schema — an archive
-    written by a different construction must fail loudly, exactly like
-    :func:`scheme_from_config`.
-    """
-    if data.get("format") != ACCESS_RESULT_FORMAT:
-        raise ValueError(
-            f"unsupported access-result format {data.get('format')!r} "
-            f"(expected {ACCESS_RESULT_FORMAT!r})"
-        )
-    try:
-        return AccessRecord(
-            op=str(data["op"]),
-            requests=int(data["requests"]),
-            total_steps=float(data["total_steps"]),
-            culling_steps=float(data["culling_steps"]),
-            return_steps=float(data["return_steps"]),
-            selected_copies=int(data["selected_copies"]),
-            reassigned=int(data.get("reassigned", 0)),
-            stages=tuple(
-                StageRecord(
-                    stage=int(s["stage"]),
-                    t_nodes=int(s["t_nodes"]),
-                    delta_in=int(s["delta_in"]),
-                    delta_out=int(s["delta_out"]),
-                    sort_steps=float(s["sort_steps"]),
-                    route_steps=float(s["route_steps"]),
-                )
-                for s in data["stages"]
-            ),
-            culling_iterations=tuple(
-                CullingIterationRecord(
-                    level=int(it["level"]),
-                    cap=int(it["cap"]),
-                    marked=int(it["marked"]),
-                    max_page_load=int(it["max_page_load"]),
-                )
-                for it in data["culling_iterations"]
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(
-            f"malformed {ACCESS_RESULT_FORMAT} payload: {exc!r}"
-        ) from exc

@@ -52,11 +52,6 @@ def route_direct(mesh: Mesh, batch: PacketBatch, *, ports: str = "multi") -> Rou
     return SynchronousEngine(mesh, ports=ports).route(batch)
 
 
-def _rank_within_groups(group_ids: np.ndarray) -> np.ndarray:
-    """Rank of each element among equal group ids (stable, 0-based)."""
-    return rank_within_groups(group_ids)
-
-
 def route_via_submeshes(
     mesh: Mesh,
     batch: PacketBatch,
@@ -82,7 +77,7 @@ def route_via_submeshes(
         return StagedRouteResult(0, 0, 0, 0, 0, np.zeros(0, dtype=np.int64))
     dst_ranks = mesh.rank_of(batch.dst)
     region_idx = tessellation.region_of(dst_ranks)
-    ranks = _rank_within_groups(region_idx)
+    ranks = rank_within_groups(region_idx)
     sizes = np.array([r.size for r in tessellation.regions], dtype=np.int64)
     starts = np.array([r.start for r in tessellation.regions], dtype=np.int64)
     m = sizes[region_idx]

@@ -19,7 +19,8 @@ import numpy as np
 
 from repro.hmos.scheme import HMOS
 from repro.mesh.costmodel import CostModel
-from repro.protocol.access import AccessProtocol, AccessResult, StepRequest
+from repro.protocol.access import AccessProtocol, StepRequest
+from repro.protocol.stats import SimulationReport
 
 __all__ = ["Backend", "IdealBackend", "MeshBackend"]
 
@@ -29,7 +30,9 @@ class Backend(Protocol):
 
     memory_size: int
     max_requests: int
-    cost: float
+
+    @property
+    def cost(self) -> float: ...  # noqa: E704
 
     def read_step(self, cells: np.ndarray) -> np.ndarray: ...  # noqa: E704
 
@@ -103,6 +106,14 @@ class IdealBackend:
 class MeshBackend:
     """Shared memory simulated on the mesh via the HMOS.
 
+    Every memory step, whichever method issues it, runs through one
+    loop: the backend's clock advances (a refused step uses up its
+    timestamp too), the protocol's batched step executor runs the step
+    (it owns the fault-schedule boundary, so "dies at step t" means the
+    backend's t-th memory step however the program is dispatched), and
+    the result is folded into the running :meth:`report`, whose total
+    is :attr:`cost`.
+
     Parameters
     ----------
     scheme : HMOS
@@ -111,10 +122,7 @@ class MeshBackend:
         Execution engine for the access protocol; ``model`` by default so
         PRAM programs of many steps stay fast.
     faults : FaultInjector, optional
-        Forwarded to :class:`AccessProtocol`; single-step calls tick
-        the injector's fault-schedule clock exactly like the batched
-        executor, so "dies at step t" means the backend's t-th memory
-        step no matter how the program is dispatched.
+        Forwarded to :class:`AccessProtocol`.
     """
 
     def __init__(
@@ -131,9 +139,8 @@ class MeshBackend:
         )
         self.memory_size = scheme.num_variables
         self.max_requests = scheme.params.n
-        self.cost = 0.0
         self._time = 0
-        self.access_log: list[AccessResult] = []
+        self._report = SimulationReport()
 
     def live_processor_count(self) -> int:
         """Processors still able to issue requests (n minus dead ranks)."""
@@ -142,37 +149,24 @@ class MeshBackend:
             return self.max_requests
         return int(self.max_requests - faults.failed_processors.size)
 
-    def _fault_boundary(self):
-        """Open one step boundary for a single-step call: apply due
-        scheduled deaths now; the matching clock advance runs in the
-        caller's ``finally`` (refusals count as elapsed steps too)."""
-        faults = self.protocol.faults
-        if faults is not None:
-            faults.apply_due_events()
-        return faults
+    def _run(self, requests) -> list:
+        """The one step loop; returns each step's fetched values (``None``
+        for writes).  A refusal propagates after the steps before it
+        were charged and reported."""
+        out = []
+        for request in requests:
+            self._time += 1
+            (result,) = self.protocol.run_steps(
+                [request], start_timestamp=self._time
+            )
+            out.append(self._report.record(result).values)
+        return out
 
     def read_step(self, cells: np.ndarray) -> np.ndarray:
-        self._time += 1
-        faults = self._fault_boundary()
-        try:
-            res = self.protocol.read(cells)
-        finally:
-            if faults is not None:
-                faults.advance_clock()
-        self.cost += res.total_steps
-        self.access_log.append(res)
-        return res.values
+        return self._run([StepRequest("read", cells)])[0]
 
     def write_step(self, cells: np.ndarray, values: np.ndarray) -> None:
-        self._time += 1
-        faults = self._fault_boundary()
-        try:
-            res = self.protocol.write(cells, values, timestamp=self._time)
-        finally:
-            if faults is not None:
-                faults.advance_clock()
-        self.cost += res.total_steps
-        self.access_log.append(res)
+        self._run([StepRequest("write", cells, values)])
 
     def mixed_step(
         self, read_cells: np.ndarray, write_cells: np.ndarray, values: np.ndarray
@@ -184,7 +178,6 @@ class MeshBackend:
         read-before-write PRAM convention.  A cell written twice takes
         its last value.
         """
-        self._time += 1
         write_cells = np.asarray(write_cells, dtype=np.int64)
         union = np.unique(np.concatenate([read_cells, write_cells]))
         # First occurrence in reverse order = last write of each cell.
@@ -196,49 +189,28 @@ class MeshBackend:
         aligned[at] = np.asarray(values, dtype=np.int64)[
             write_cells.size - 1 - from_end
         ]
-        faults = self._fault_boundary()
-        try:
-            res = self.protocol.mixed(
-                union, is_write, aligned, timestamp=self._time
-            )
-        finally:
-            if faults is not None:
-                faults.advance_clock()
-        self.cost += res.total_steps
-        self.access_log.append(res)
-        lookup = np.searchsorted(union, read_cells)
-        return res.values[lookup]
+        (fetched,) = self._run([StepRequest("mixed", union, aligned, is_write)])
+        return fetched[np.searchsorted(union, read_cells)]
 
     def run_steps(self, requests: list[StepRequest]) -> list:
-        """Batched request stream through the protocol's step executor.
+        """A request stream, step by step through the same loop as
+        ``read_step``/``write_step``/``mixed_step``.  Returns one entry
+        per step: the fetched values for read/mixed steps, ``None`` for
+        writes."""
+        return self._run(requests)
 
-        Equivalent to calling ``read_step``/``write_step``/``mixed_step``
-        in sequence — same timestamps (the executor continues this
-        backend's monotone clock), same cost accumulation, same access
-        log — but the protocol's per-scheme reusable state is amortized
-        over the whole stream.  Returns one entry per step: the fetched
-        values for read/mixed steps, ``None`` for writes.
-        """
-        results = self.protocol.run_steps(
-            requests, start_timestamp=self._time + 1, on_error="raise"
-        )
-        self._time += len(results)
-        out = []
-        for res in results:
-            self.cost += res.total_steps
-            self.access_log.append(res)
-            out.append(res.values if res.op in ("read", "mixed") else None)
-        return out
+    @property
+    def cost(self) -> float:
+        """Mesh steps charged so far: the running report's total, the
+        sum of every step's ``total_steps`` in step order."""
+        return self._report.total_mesh_steps
 
     @property
     def mesh_steps(self) -> float:
         """Alias for :attr:`cost` with the paper's units spelled out."""
-        return self.cost
+        return self._report.total_mesh_steps
 
-    def report(self):
-        """A :class:`repro.protocol.SimulationReport` over the access log."""
-        from repro.protocol.stats import SimulationReport
-
-        out = SimulationReport()
-        out.extend(self.access_log)
-        return out
+    def report(self) -> SimulationReport:
+        """The running :class:`repro.protocol.SimulationReport` of every
+        step this backend charged."""
+        return self._report

@@ -108,23 +108,9 @@ class PRAMMachine:
         )
         active = np.nonzero(addrs != IDLE)[0]
         if active.size:
-            unique, first_idx = np.unique(addrs[active], return_index=True)
-            if self.policy in ("crew", "erew") and unique.size != active.size:
-                raise RuntimeError(f"{self.policy.upper()} violation: concurrent write")
-            if self.policy in ("sum", "max") and unique.size != active.size:
-                # Combining CRCW: fold all conflicting values per cell.
-                inverse = np.searchsorted(unique, addrs[active])
-                combined = np.zeros(unique.size, dtype=np.int64)
-                if self.policy == "sum":
-                    np.add.at(combined, inverse, values[active])
-                else:
-                    combined[:] = np.iinfo(np.int64).min
-                    np.maximum.at(combined, inverse, values[active])
-                self.backend.write_step(unique, combined)
-            else:
-                # Priority resolution: first occurrence (lowest processor
-                # id) of each address wins; also the conflict-free path.
-                self.backend.write_step(unique, values[active][first_idx])
+            self.backend.write_step(
+                *self._resolve_writes(addrs[active], values[active])
+            )
         self.pram_steps += 1
 
     def step(self, read_addrs, write_addrs, write_values) -> np.ndarray:
@@ -154,31 +140,10 @@ class PRAMMachine:
             all_cells = np.concatenate([read_addrs[readers], write_addrs[writers]])
             if np.unique(all_cells).size != all_cells.size:
                 raise RuntimeError("EREW violation: concurrent access")
-        unique_r, inv_r = (
-            np.unique(read_addrs[readers], return_inverse=True)
-            if readers.size
-            else (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        unique_r, inv_r = np.unique(read_addrs[readers], return_inverse=True)
+        w_cells, w_vals = self._resolve_writes(
+            write_addrs[writers], write_values[writers]
         )
-        # Resolve write conflicts by the machine's policy.
-        if writers.size:
-            w_cells, first_idx = np.unique(write_addrs[writers], return_index=True)
-            if self.policy in ("crew",) and w_cells.size != writers.size:
-                raise RuntimeError("CREW violation: concurrent write")
-            if self.policy in ("sum", "max") and w_cells.size != writers.size:
-                inverse = np.searchsorted(w_cells, write_addrs[writers])
-                combined = np.zeros(w_cells.size, dtype=np.int64)
-                if self.policy == "sum":
-                    np.add.at(combined, inverse, write_values[writers])
-                else:
-                    combined[:] = np.iinfo(np.int64).min
-                    np.maximum.at(combined, inverse, write_values[writers])
-                w_vals = combined
-            else:
-                w_vals = write_values[writers][first_idx]
-        else:
-            w_cells = np.zeros(0, dtype=np.int64)
-            w_vals = np.zeros(0, dtype=np.int64)
-
         fetched = self.backend.mixed_step(unique_r, w_cells, w_vals)
         out = np.zeros(self.num_processors, dtype=np.int64)
         if readers.size:
@@ -186,83 +151,68 @@ class PRAMMachine:
         self.pram_steps += 1
         return out
 
+    def _resolve_writes(self, cells: np.ndarray, values: np.ndarray):
+        """The distinct written cells, ascending, and the value each one
+        keeps: the lowest processor's under ``"priority"`` (also the
+        conflict-free case), the combined value under ``"sum"`` /
+        ``"max"``; a conflict raises under ``"crew"`` / ``"erew"``."""
+        unique, first_idx = np.unique(cells, return_index=True)
+        if unique.size == cells.size or self.policy == "priority":
+            return unique, values[first_idx]
+        if self.policy in ("crew", "erew"):
+            raise RuntimeError(f"{self.policy.upper()} violation: concurrent write")
+        inverse = np.searchsorted(unique, cells)
+        if self.policy == "sum":
+            combined = np.zeros(unique.size, dtype=np.int64)
+            np.add.at(combined, inverse, values)
+        else:
+            combined = np.full(unique.size, np.iinfo(np.int64).min, dtype=np.int64)
+            np.maximum.at(combined, inverse, values)
+        return unique, combined
+
     # -- bulk helpers -------------------------------------------------------
-
-    def _live_processors(self) -> int:
-        """Processors currently able to issue a request.
-
-        Backends that track processor faults report their survivor
-        count; chunked bulk transfers size themselves to it, because a
-        dead processor cannot originate the request for its slot (its
-        share of the work lands on survivors — degraded mode costs more
-        steps instead of failing).  Refuses when nobody survives.
-        """
-        P = self.num_processors
-        if hasattr(self.backend, "live_processor_count"):
-            P = min(P, int(self.backend.live_processor_count()))
-        if P < 1:
-            raise RuntimeError(
-                "all processors failed: bulk transfer refused"
-            )
-        return P
 
     def scatter(self, base: int, values: np.ndarray) -> None:
         """Store ``values[i]`` at address ``base + i`` (one step if the
-        array fits the live processor count, else several).
-
-        Chunks carry distinct consecutive addresses, so the whole
-        transfer is conflict-free under every policy and goes through
-        the backend's batched step executor in one call.
-        """
+        array fits the live processor count, else several)."""
         values = np.asarray(values, dtype=np.int64)
-        if values.size and not (
-            0 <= base and base + values.size <= self.backend.memory_size
-        ):
-            raise ValueError("address out of shared-memory range")
-        P = self._live_processors()
-        if not hasattr(self.backend, "run_steps"):
-            for lo in range(0, values.size, P):  # duck-typed backends
-                chunk = values[lo : lo + P]
-                addrs = np.full(self.num_processors, IDLE, dtype=np.int64)
-                addrs[: chunk.size] = base + lo + np.arange(chunk.size)
-                vals = np.zeros(self.num_processors, dtype=np.int64)
-                vals[: chunk.size] = chunk
-                self.write(addrs, vals)
-            return
-        requests = []
-        for lo in range(0, values.size, P):
-            chunk = values[lo : lo + P]
-            addrs = base + lo + np.arange(chunk.size, dtype=np.int64)
-            requests.append(
-                StepRequest(op="write", variables=addrs, values=chunk)
-            )
-        self.backend.run_steps(requests)
-        self.pram_steps += len(requests)
+        self._transfer("write", base, values.size, values)
 
     def gather(self, base: int, count: int) -> np.ndarray:
-        """Fetch ``count`` consecutive cells starting at ``base`` (batched
-        like :meth:`scatter`, chunked to the live processor count)."""
+        """Fetch ``count`` consecutive cells starting at ``base``
+        (chunked like :meth:`scatter`)."""
+        out = np.empty(count, dtype=np.int64)
+        for chunk, values in self._transfer("read", base, count):
+            out[chunk] = values
+        return out
+
+    def _transfer(self, op: str, base: int, count: int, values=None) -> list:
+        """Run a bulk transfer of ``count`` consecutive cells from
+        ``base`` through the backend's batched step executor; returns
+        ``(chunk slice, step result)`` pairs.
+
+        Each step is as wide as the live processor count: a dead
+        processor cannot originate the request for its slot, so its
+        share lands on survivors (degraded mode costs more steps
+        instead of failing); nobody alive refuses the transfer.  Chunks
+        carry distinct consecutive addresses, so the transfer is
+        conflict-free under every policy.
+        """
         if count and not (0 <= base and base + count <= self.backend.memory_size):
             raise ValueError("address out of shared-memory range")
-        P = self._live_processors()
-        out = np.empty(count, dtype=np.int64)
-        if not hasattr(self.backend, "run_steps"):
-            for lo in range(0, count, P):  # duck-typed backends
-                size = min(P, count - lo)
-                addrs = np.full(self.num_processors, IDLE, dtype=np.int64)
-                addrs[:size] = base + lo + np.arange(size)
-                out[lo : lo + size] = self.read(addrs)[:size]
-            return out
-        requests = []
-        for lo in range(0, count, P):
-            size = min(P, count - lo)
-            addrs = base + lo + np.arange(size, dtype=np.int64)
-            requests.append(StepRequest(op="read", variables=addrs))
-        results = self.backend.run_steps(requests)
-        self.pram_steps += len(requests)
-        for lo, values in zip(range(0, count, P), results):
-            out[lo : lo + len(values)] = values
-        return out
+        P = min(self.num_processors, int(self.backend.live_processor_count()))
+        if P < 1:
+            raise RuntimeError("all processors failed: bulk transfer refused")
+        cells = base + np.arange(count, dtype=np.int64)
+        chunks = [slice(lo, lo + P) for lo in range(0, count, P)]
+        results = self.backend.run_steps(
+            [
+                StepRequest(op, cells[c], None if values is None else values[c])
+                for c in chunks
+            ]
+        )
+        self.pram_steps += len(chunks)
+        return list(zip(chunks, results))
 
     @property
     def cost(self) -> float:

@@ -323,7 +323,9 @@ class AccessProtocol:
         first applies the deaths due at the injector's step clock
         ("node p dies at step t") and the clock advances whether the
         step completed or was refused — so steps before the earliest
-        due event are bit-identical to a fault-free run.
+        due event are bit-identical to a fault-free run.  This is the
+        clock's only owner: :class:`repro.pram.MeshBackend` issues
+        every step, single or batched, as a one-step call here.
 
         Returns
         -------

@@ -18,7 +18,7 @@ from repro.mesh import (
     shearsort_steps,
     snake_order,
 )
-from repro.mesh.routing import _rank_within_groups
+from repro.util.grouping import rank_within_groups
 
 
 class TestPacketBatch:
@@ -325,14 +325,14 @@ class TestShearsort:
 class TestRankWithinGroups:
     def test_basic(self):
         groups = np.array([2, 0, 2, 1, 0, 2])
-        ranks = _rank_within_groups(groups)
+        ranks = rank_within_groups(groups)
         # Stable: first occurrence of each group gets 0.
         assert ranks.tolist() == [0, 0, 1, 0, 1, 2]
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=50))
     def test_property(self, groups):
         groups = np.array(groups)
-        ranks = _rank_within_groups(groups)
+        ranks = rank_within_groups(groups)
         for g in np.unique(groups):
             got = ranks[groups == g]
             assert sorted(got.tolist()) == list(range(got.size))

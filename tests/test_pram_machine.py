@@ -83,11 +83,9 @@ class TestMeshBackend:
         mesh_machine.read(np.arange(64))
         assert mesh_machine.cost > c0
 
-    def test_access_log(self, mesh_machine):
+    def test_report_counts_ops(self, mesh_machine):
         mesh_machine.read(np.arange(64))
-        log = mesh_machine.backend.access_log
-        assert len(log) == 1
-        assert log[0].op == "read"
+        assert mesh_machine.backend.report().op_counts() == {"read": 1}
 
     def test_timestamps_monotone(self, mesh_machine):
         """Later writes beat earlier writes through the majority rule."""

@@ -173,7 +173,11 @@ def test_mesh_backend_run_steps_matches_step_methods():
     batch_out = batched.run_steps(requests)
     assert batched.cost == loop.cost
     assert batched._time == loop._time == len(requests)
-    assert len(batched.access_log) == len(loop.access_log)
+    reports = [backend.report() for backend in (batched, loop)]
+    assert len({r.summary() for r in reports}) == 1
+    assert len({r.total_mesh_steps for r in reports}) == 1
+    assert reports[0].breakdown() == reports[1].breakdown()
+    assert reports[0].op_counts() == reports[1].op_counts()
     for req, a, b in zip(requests, loop_out, batch_out):
         if req.op == "write":
             assert a is None and b is None
@@ -210,29 +214,7 @@ def test_ideal_backend_run_steps_matches_loop():
     np.testing.assert_array_equal(a.snapshot(), b.snapshot())
 
 
-class _LegacyBackend:
-    """Duck-typed backend without ``run_steps`` (fallback-path probe)."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.memory_size = inner.memory_size
-        self.max_requests = inner.max_requests
-
-    def read_step(self, cells):
-        return self._inner.read_step(cells)
-
-    def write_step(self, cells, values):
-        self._inner.write_step(cells, values)
-
-    def mixed_step(self, read_cells, write_cells, values):
-        return self._inner.mixed_step(read_cells, write_cells, values)
-
-    @property
-    def cost(self):
-        return self._inner.cost
-
-
-def test_machine_scatter_gather_batched_and_fallback():
+def test_machine_scatter_gather_batched():
     scheme = _scheme()
     payload = np.arange(150, dtype=np.int64) * 3 + 1
     base = 7
@@ -242,11 +224,6 @@ def test_machine_scatter_gather_batched_and_fallback():
     np.testing.assert_array_equal(batched.gather(base, payload.size), payload)
     # ceil(150 / 64) chunks per direction.
     assert batched.pram_steps == 2 * -(-payload.size // scheme.params.n)
-
-    fallback = PRAMMachine(_LegacyBackend(IdealBackend(1000)), 64)
-    fallback.scatter(base, payload)
-    np.testing.assert_array_equal(fallback.gather(base, payload.size), payload)
-    assert fallback.pram_steps == batched.pram_steps
 
     with pytest.raises(ValueError, match="address"):
         batched.scatter(batched.backend.memory_size - 1, payload)

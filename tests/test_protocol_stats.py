@@ -10,14 +10,18 @@ from repro.protocol.access import AccessResult
 
 
 @pytest.fixture()
-def populated():
+def results():
     scheme = HMOS(n=64, alpha=1.5, q=3, k=2)
     proto = AccessProtocol(scheme, engine="model")
-    report = SimulationReport()
     v = np.arange(32)
-    report.record(proto.write(v, v, timestamp=1))
-    report.record(proto.read(v))
-    report.record(proto.read(v + 40))
+    return [proto.write(v, v, timestamp=1), proto.read(v), proto.read(v + 40)]
+
+
+@pytest.fixture()
+def populated(results):
+    report = SimulationReport()
+    for result in results:
+        report.record(result)
     return report
 
 
@@ -32,9 +36,9 @@ class TestReport:
         assert populated.steps == 3
         assert populated.op_counts() == {"read": 2, "write": 1}
 
-    def test_totals(self, populated):
+    def test_totals(self, populated, results):
         assert populated.total_mesh_steps == pytest.approx(
-            sum(r.total_steps for r in populated.results)
+            sum(r.total_steps for r in results)
         )
         assert populated.mean_step_cost == pytest.approx(
             populated.total_mesh_steps / 3
@@ -92,7 +96,7 @@ class TestReport:
         res = report.record(proto.read(np.arange(4)))
         assert res.op == "read"
 
-    def test_extend(self, populated):
+    def test_extend(self, populated, results):
         other = SimulationReport()
-        other.extend(populated.results)
+        other.extend(results)
         assert other.steps == populated.steps
