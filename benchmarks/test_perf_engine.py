@@ -10,6 +10,12 @@ speedup while staying step-count preserving (asserted here on the same
 instance; the full equivalence suite lives in
 ``tests/test_engine_equivalence.py``).
 
+A second row times ``SynchronousEngine.route_many`` on a call the size
+of a full-load uniform-cycle-4096 step (6 batches x 16,384 packets at
+``n = 4096``), which splits over the engine's helper process on a host
+with 2 CPUs, against the same call through the in-process core; on 2
+CPUs the split must not be slower.
+
 Run directly with ``pytest benchmarks/test_perf_engine.py -q``.  With
 ``REPRO_PERF_QUICK=1`` (the CI smoke job) the same instance and gate
 record to the gitignored ``BENCH_engine.quick.json``, so a quick run
@@ -19,6 +25,7 @@ artifact.
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -104,3 +111,49 @@ def test_route_many_amortizes_loop_overhead():
     many_t, _ = _best_of(lambda: engine.route_many(batches), repeats=3)
     # Generous bound: amortization must at least roughly break even.
     assert many_t <= 1.2 * solo_t
+
+
+def test_route_many_split_speedup():
+    """A call above the split threshold: alternating in-process core and
+    ``route_many`` runs, median of 7 each; identical results."""
+    mesh = Mesh(64)
+    rng = np.random.default_rng(5)
+    batches = [
+        PacketBatch(rng.integers(0, mesh.n, 16384), rng.integers(0, mesh.n, 16384))
+        for _ in range(6)
+    ]
+    pairs = [(b.src, b.dst) for b in batches]
+    engine = SynchronousEngine(mesh)
+    engine.route_many(batches)  # warm buffers, start the helper
+    core_t, many_t = [], []
+    for _ in range(7):
+        t0 = time.perf_counter()
+        ref = engine._core.run(pairs)
+        t1 = time.perf_counter()
+        got = engine.route_many(batches)
+        core_t.append(t1 - t0)
+        many_t.append(time.perf_counter() - t1)
+    for r, g in zip(ref, got):
+        assert (r.steps, r.total_hops, r.max_queue) == (
+            g.steps, g.total_hops, g.max_queue,
+        )
+        np.testing.assert_array_equal(r.node_traffic, g.node_traffic)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    core_s, many_s = statistics.median(core_t), statistics.median(many_t)
+    record = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
+    record["route_many_split"] = {
+        "benchmark": "SynchronousEngine.route_many vs SteppingCore.run, n=4096, "
+        "6 batches x 16,384 random packets (seed 5), median of 7 alternating runs",
+        "cpus": cpus,
+        "steps": [int(r.steps) for r in got],
+        "core_seconds": core_s,
+        "route_many_seconds": many_s,
+        "ratio": core_s / many_s,
+    }
+    BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
+    print(
+        f"\nroute_many: {many_s * 1e3:.1f} ms vs in-process core "
+        f"{core_s * 1e3:.1f} ms -> {core_s / many_s:.2f}x on {cpus} CPUs"
+    )
+    if cpus >= 2:
+        assert core_s / many_s >= 1.0

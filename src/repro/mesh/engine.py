@@ -23,20 +23,103 @@ batches in one loop (:meth:`SynchronousEngine.route_many`).  The
 refactor is step-count preserving: ``steps``, ``total_hops`` and
 ``node_traffic`` are identical to the seed engine under the same
 farthest-first arbitration (pinned by ``tests/test_engine_equivalence.py``
-against a golden file generated from the seed).  The engine always runs
-that one core, in the calling process.
+against a golden file generated from the seed).  A large untraced
+``route_many`` call on 2 CPUs runs that core in two processes
+(DESIGN.md, "Engine core").
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import os
+import signal
+import threading
+from functools import partial
+
 import numpy as np
 
-from repro.mesh.engine_core import RouteResult, SteppingCore
+from repro.mesh.engine_core import RouteResult, SteppingCore, _stamp_stride, xy_path_traffic
 from repro.mesh.packets import PacketBatch
 from repro.mesh.topology import Mesh
 from repro.obs import tracer as _obs
 
 __all__ = ["RouteResult", "SynchronousEngine"]
+
+#: Packets from which an untraced call of >= 2 batches is split (EXPERIMENTS.md,
+#: "Two processes for large route_many calls").
+_SPLIT_MIN_PACKETS = 24_576
+
+# None until the first large call, then (pid, connection); False for good.
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    """After a fork, in the child: close its copy of the connection."""
+    global _helper, _helper_lock
+    if _helper:
+        _helper[1].close()
+    _helper, _helper_lock = None, threading.Lock()
+
+
+@atexit.register
+def _close_helper() -> None:
+    """Close, stop and reap the helper; route in-process from then on."""
+    global _helper
+    if _helper:
+        _helper[1].close()
+        with contextlib.suppress(OSError):
+            os.kill(_helper[0], signal.SIGKILL)
+            os.waitpid(_helper[0], 0)
+    _helper = False
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serve(conn) -> None:
+    """The helper's loop, until the parent's end closes (``EOFError``)."""
+    core = None
+    while True:
+        side, ports, pairs, caps = conn.recv()
+        if core is None or (core.mesh.side, core.ports) != (side, ports):
+            core = SteppingCore(Mesh(side), ports)
+        try:
+            out = core.run(pairs, max_steps=caps)
+            conn.send([(r.steps, r.total_hops, r.max_queue) for r in out])
+        except RuntimeError:
+            conn.send(None)
+
+
+def _helper_connection():
+    """The helper's connection, forked at first use if no thread runs, or None."""
+    global _helper
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    if _helper is None and len(cpus) >= 2 and forkable:
+        from multiprocessing import Pipe
+        ours, theirs = Pipe()
+        pid = os.fork()
+        if pid == 0:  # the helper, which never returns
+            try:
+                ours.close()
+                _serve(theirs)
+            finally:
+                os._exit(0)
+        theirs.close()
+        _helper = (pid, ours)
+    return _helper[1] if _helper else None
+
+
+def _work(side: int, src: np.ndarray, dst: np.ndarray) -> int:
+    """A batch's stepping work: the XY distance of every 16th packet."""
+    s, d = src[::16], dst[::16]
+    return int(np.abs(d // side - s // side).sum() + np.abs(d % side - s % side).sum())
+
+
+def _path_traffic(side: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    return xy_path_traffic(side, *np.divmod(src, side), *np.divmod(dst, side))
 
 
 class _OccupancyHistogram:
@@ -115,11 +198,62 @@ class SynchronousEngine:
         list[RouteResult] aligned with ``batches``.
         """
         tracer = _obs.current()
-        if not tracer.enabled:
-            return self._core.run(
-                [(b.src, b.dst) for b in batches], max_steps=max_steps
-            )
-        return self._route_many_traced(batches, max_steps, tracer)
+        if tracer.enabled:
+            return self._route_many_traced(batches, max_steps, tracer)
+        pairs = [(b.src, b.dst) for b in batches]
+        big = len(pairs) > 1 and sum(len(s) for s, _ in pairs) >= _SPLIT_MIN_PACKETS
+        if big and _helper_lock.acquire(blocking=False):
+            try:
+                out = self._route_split(pairs, max_steps)
+            finally:
+                _helper_lock.release()
+            if out is not None:
+                return out
+        return self._core.run(pairs, max_steps=max_steps)
+
+    def _route_split(self, pairs, max_steps) -> list[RouteResult] | None:
+        """Validate the whole call as ``SteppingCore.run`` does, then route
+        about half of its work in the helper; None routes it in-process."""
+        mesh = self.mesh
+        sizes = np.array([len(src) for src, _ in pairs], dtype=np.int64)
+        if max_steps is None:
+            max_steps = 4 * (mesh.diameter + sizes + 8)
+        caps = np.asarray(max_steps, dtype=np.int64)
+        if caps.ndim == 0:
+            caps = np.full(len(pairs), caps)
+        elif caps.size != len(pairs):
+            raise ValueError("max_steps must align with batches")
+        _stamp_stride(mesh.diameter, int(sizes.max()) + 1, caps)
+        conn = _helper_connection()
+        if conn is None:
+            return None
+        # Largest first onto the lighter side (whole-mesh legs split up).
+        work = [_work(mesh.side, src, dst) for src, dst in pairs]
+        far, near, loads = [], [], [0, 0]
+        for b in sorted(range(len(pairs)), key=work.__getitem__, reverse=True):
+            i = int((loads[0], len(far)) > (loads[1], len(near)))
+            (far, near)[i].append(b)
+            loads[i] += work[b]
+        try:
+            conn.send((mesh.side, self.ports, [pairs[b] for b in far], caps[far]))
+            try:
+                mine = self._core.run([pairs[b] for b in near], max_steps=caps[near])
+            except RuntimeError:
+                mine = None
+            theirs = conn.recv()
+        except (EOFError, OSError):  # the helper died
+            _close_helper()
+            return None
+        except BaseException:  # left between send and receive
+            _close_helper()
+            raise
+        if mine is None or theirs is None:
+            return None
+        out = dict(zip(near, mine))
+        for b, counts in zip(far, theirs):  # traffic from copies, on first read
+            traffic = partial(_path_traffic, mesh.side, *map(np.copy, pairs[b]))
+            out[b] = RouteResult(*counts, traffic)
+        return [out[b] for b in range(len(pairs))]
 
     def _route_many_traced(self, batches, max_steps, tracer) -> list[RouteResult]:
         """The tracing path of :meth:`route_many`.

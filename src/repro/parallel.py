@@ -17,8 +17,8 @@ cannot pay for processes) degrades to plain inline execution:
   per-experiment pytest runs of ``repro experiments``), fanned out on
   threads since the children are processes already.
 
-Mesh stepping never runs here: the engine advances every routing call
-in the calling process (DESIGN.md, "Engine core").
+Mesh stepping never runs here: a large routing call splits over the
+engine's own helper process (DESIGN.md, "Engine core").
 
 Worker ids: every pool worker derives a distinct small id from its own
 ``multiprocessing`` process identity and exports it as

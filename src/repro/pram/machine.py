@@ -196,7 +196,7 @@ class PRAMMachine:
         share lands on survivors (degraded mode costs more steps
         instead of failing); nobody alive refuses the transfer.  Chunks
         carry distinct consecutive addresses, so the transfer is
-        conflict-free under every policy.
+        conflict-free under every policy.  A chunk counts once it is done.
         """
         if count and not (0 <= base and base + count <= self.backend.memory_size):
             raise ValueError("address out of shared-memory range")
@@ -205,13 +205,11 @@ class PRAMMachine:
             raise RuntimeError("all processors failed: bulk transfer refused")
         cells = base + np.arange(count, dtype=np.int64)
         chunks = [slice(lo, lo + P) for lo in range(0, count, P)]
-        results = self.backend.run_steps(
-            [
-                StepRequest(op, cells[c], None if values is None else values[c])
-                for c in chunks
-            ]
-        )
-        self.pram_steps += len(chunks)
+        results = []
+        for c in chunks:
+            req = StepRequest(op, cells[c], None if values is None else values[c])
+            results += self.backend.run_steps([req])
+            self.pram_steps += 1
         return list(zip(chunks, results))
 
     @property

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hmos import HMOS
+from repro.hmos import HMOS, FaultInjector
 from repro.pram import IDLE, IdealBackend, MeshBackend, PRAMMachine
 
 
@@ -101,6 +101,19 @@ class TestMeshBackend:
         m.write(addrs, addrs * 2)
         np.testing.assert_array_equal(m.read(addrs), addrs * 2)
         assert m.cost > 0
+
+    def test_refused_transfer_counts_completed_chunks(self):
+        """A bulk transfer refused at its second chunk still counts the
+        first one, which the backend charged and reported."""
+        scheme = HMOS(n=64, alpha=1.5, q=3, k=2)
+        red = scheme.redundancy
+        faults = FaultInjector(scheme)
+        faults.fail_nodes(scheme.copy_nodes(np.full(red, 100), np.arange(red)))
+        backend = MeshBackend(scheme, engine="model", faults=faults)
+        machine = PRAMMachine(backend, num_processors=64)
+        with pytest.raises(RuntimeError, match=r"unrecoverable.*\[100\]"):
+            machine.scatter(0, np.arange(150))
+        assert machine.pram_steps == backend.report().steps == 1
 
 
 class TestCrossBackendEquivalence:
