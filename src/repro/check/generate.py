@@ -10,6 +10,7 @@ deterministic and pickles to plain dicts for process-pool shards.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +25,13 @@ from repro.hmos.faults import EVENT_KINDS, FaultEvent
 from repro.hmos.params import HMOSParams
 from repro.hmos.scheme import HMOS
 
-__all__ = ["PROFILES", "feasible_configs", "random_case", "random_cases"]
+__all__ = [
+    "PROFILES",
+    "feasible_configs",
+    "full_size_configs",
+    "random_case",
+    "random_cases",
+]
 
 #: Bounds keeping one fuzz case under ~100 ms: small meshes, capped
 #: memory (the invariants are size-uniform; the theorems' asymptotics
@@ -44,8 +51,31 @@ WORKLOADS = ("uniform", "module", "majority", "doomed")
 #: ``fault-heavy`` guarantees every case carries static processor
 #: faults AND a mid-run fault schedule (plus an elevated memory-fault
 #: budget) — the CI slice exercising the degraded-mode machinery on
-#: every single case.
-PROFILES = ("default", "fault-heavy")
+#: every single case; ``full-size`` draws ``default``-style cases from
+#: :func:`full_size_configs`, and each case's first step (and about
+#: half of the others) carries a full load of ``n`` requests, so the
+#: model engine's full-load stage planning meets the cycle engine's
+#: placed packets at the sizes the benchmarks run.
+PROFILES = ("default", "fault-heavy", "full-size")
+
+#: The ``full-size`` profile's meshes, and its largest alpha: at
+#: alpha <= 1.5 a scheme's cold build (the incidence tables the
+#: oracle's cached scheme materializes) stays under 0.4 s on the 2-core
+#: x86_64 reference host, where alpha = 2.0 holds 7.2M variables at
+#: n = 1024 and 64.6M at n = 4096.
+FULL_SIZE_N = (1024, 4096)
+FULL_SIZE_MAX_ALPHA = 1.5
+
+
+def _instantiable(ns, alphas):
+    """``(config, params)`` of every ``(n, alpha, q, k)`` over ``ns``,
+    ``alphas`` and all q and k choices that the HMOS can instantiate."""
+    for n, alpha, q, k in itertools.product(ns, alphas, Q_CHOICES, K_CHOICES):
+        try:
+            params = HMOSParams(n=n, alpha=alpha, q=q, k=k)
+        except ValueError:
+            continue
+        yield (n, alpha, q, k), params
 
 
 @lru_cache(maxsize=1)
@@ -53,19 +83,22 @@ def feasible_configs() -> tuple[tuple[int, float, int, int], ...]:
     """All ``(n, alpha, q, k)`` combinations the HMOS can instantiate
     within the fuzz budget, smallest first (shrinking prefers the front
     of the list)."""
-    out = []
-    for n in N_CHOICES:
-        for alpha in ALPHA_CHOICES:
-            for q in Q_CHOICES:
-                for k in K_CHOICES:
-                    try:
-                        params = HMOSParams(n=n, alpha=alpha, q=q, k=k)
-                    except ValueError:
-                        continue
-                    if params.num_variables <= MAX_VARIABLES:
-                        out.append((n, alpha, q, k))
+    out = [
+        cfg
+        for cfg, params in _instantiable(N_CHOICES, ALPHA_CHOICES)
+        if params.num_variables <= MAX_VARIABLES
+    ]
     out.sort(key=lambda cfg: (cfg[0], HMOSParams(*cfg).num_variables, cfg[3]))
     return tuple(out)
+
+
+@lru_cache(maxsize=1)
+def full_size_configs() -> tuple[tuple[int, float, int, int], ...]:
+    """All ``(n, alpha, q, k)`` the ``full-size`` profile draws from:
+    ``n`` in :data:`FULL_SIZE_N`, alpha at most
+    :data:`FULL_SIZE_MAX_ALPHA`, every feasible q and k."""
+    alphas = [a for a in ALPHA_CHOICES if a <= FULL_SIZE_MAX_ALPHA]
+    return tuple(cfg for cfg, _ in _instantiable(FULL_SIZE_N, alphas))
 
 
 def _scheme_for(n: int, alpha: float, q: int, k: int) -> HMOS:
@@ -90,25 +123,26 @@ def _random_step(
     q: int,
     k: int,
     doomed: tuple[int, ...] = (),
+    full_load: bool = False,
 ) -> StepSpec:
     """One memory step against the given configuration.
 
     ``doomed`` carries the processor ranks the case's fault state will
     kill (static + scheduled), so the ``doomed`` workload can aim its
     concentration at exactly the requests that will be reassigned.
+    A ``full_load`` step carries ``n`` requests, one per processor.
     """
     scheme = _scheme_for(n, alpha, q, k)
     num_vars = scheme.num_variables
     workload = WORKLOADS[rng.integers(len(WORKLOADS))]
     if workload == "doomed" and not doomed:
         workload = "module"  # nothing to doom; fall back to the module attack
+    count = n if full_load else _request_count(rng, n)
     if workload == "uniform":
-        count = _request_count(rng, n)
         variables = tuple(
             int(v) for v in rng.choice(num_vars, size=count, replace=False)
         )
     else:
-        count = _request_count(rng, n)
         if workload == "doomed":
             module = int(rng.integers(scheme.placement.graphs[0].num_outputs))
             picked = doomed_processor_requests(
@@ -171,7 +205,8 @@ def random_case(rng: np.random.Generator, profile: str = "default") -> CaseSpec:
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
     heavy = profile == "fault-heavy"
-    configs = feasible_configs()
+    full_size = profile == "full-size"
+    configs = full_size_configs() if full_size else feasible_configs()
     n, alpha, q, k = configs[rng.integers(len(configs))]
     curve = CURVES[rng.integers(len(CURVES))]
     n_faults = int(rng.integers(1 if heavy else 0, MAX_FAULTS + 1))
@@ -194,9 +229,12 @@ def random_case(rng: np.random.Generator, profile: str = "default") -> CaseSpec:
             )
         )
     )
-    steps = tuple(
-        _random_step(rng, n, alpha, q, k, doomed=doomed) for _ in range(n_steps)
-    )
+    steps = []
+    for i in range(n_steps):
+        full_load = full_size and (i == 0 or rng.random() < 0.5)
+        steps.append(
+            _random_step(rng, n, alpha, q, k, doomed=doomed, full_load=full_load)
+        )
     return CaseSpec(
         n=n,
         alpha=alpha,
@@ -206,7 +244,7 @@ def random_case(rng: np.random.Generator, profile: str = "default") -> CaseSpec:
         failed_nodes=failed,
         failed_processors=failed_procs,
         fault_schedule=schedule,
-        steps=steps,
+        steps=tuple(steps),
     )
 
 

@@ -612,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_PROFILES,
         default="default",
         help="generator mix: 'fault-heavy' makes every case carry "
-        "processor faults and a mid-run fault schedule",
+        "processor faults and a mid-run fault schedule; 'full-size' "
+        "draws n = 1024 and 4096 cases with full-load steps",
     )
     pf.set_defaults(fn=_cmd_check)
     pr = check_sub.add_parser("replay", help="re-execute a repro artifact")

@@ -48,6 +48,7 @@ from repro.hmos.scheme import HMOS
 from repro.mesh.costmodel import CostModel
 from repro.mesh.ksort import kk_sort_steps
 from repro.util.grouping import rank_within_groups
+from repro.util.validate import check_int_array
 
 __all__ = ["IterationStats", "CullingResult", "cull"]
 
@@ -213,7 +214,7 @@ def cull(
         level-k target set (unrecoverable); the message lists them.
     """
     params = scheme.params
-    variables = np.asarray(variables, dtype=np.int64)
+    variables = check_int_array("variables", variables)
     if variables.ndim != 1:
         raise ValueError("variables must be a 1-D array")
     _check_distinct(variables)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hmos.params import HMOSParams
+from repro.util.validate import check_int_array
 
 __all__ = ["CopyMemory"]
 
@@ -81,7 +82,7 @@ class CopyMemory:
     def _checked(self, variables, paths) -> tuple[np.ndarray, np.ndarray]:
         """Range-checked ``(variables, paths)``: a boolean ``paths`` stays
         a copy mask, other ``paths`` become int64 path ids."""
-        variables = np.asarray(variables, dtype=np.int64)
+        variables = check_int_array("variables", variables)
         paths = np.asarray(paths)
         red = self.params.redundancy
         if paths.dtype == bool:
@@ -91,7 +92,7 @@ class CopyMemory:
                     f"got {paths.shape} for variables of shape {variables.shape}"
                 )
         else:
-            paths = paths.astype(np.int64, copy=False)
+            paths = check_int_array("paths", paths)
             if ((paths < 0) | (paths >= red)).any():
                 raise ValueError(f"path out of range [0, {red})")
             np.broadcast_shapes(variables.shape, paths.shape)
@@ -207,7 +208,7 @@ class CopyMemory:
         ``paths_matrix`` has one row per variable listing the paths
         actually reached; returns one value per row.
         """
-        variables = np.asarray(variables, dtype=np.int64)
+        variables = check_int_array("variables", variables)
         vals, tss = self.read(variables[:, None], paths_matrix)
         pick = np.argmax(tss, axis=1)
         rows = np.arange(vals.shape[0])

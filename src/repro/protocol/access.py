@@ -19,6 +19,19 @@ copy: each level's selected keys index the placement's per-level page
 tables.  The keys are released before the result is returned, so a
 logged result keeps no per-copy arrays.
 
+A stage spreads the ``c`` packets of a page over the page's span of
+``L`` nodes by rank, so every node of the span gets ``c // L`` of them
+and its first ``c % L`` nodes one more.  Its loads therefore follow
+from how many selected copies each page holds.  A model-engine step of
+at least ``_HISTOGRAM_MIN_PACKETS`` packets, whose closed form reads
+only loads, spans and whether a leg moves any packet, takes each
+stage's loads from that page histogram (:func:`_spread_loads`) and
+sorts or places no packet.  A leg whose two ends' load vectors differ
+moves a packet; only a leg whose two load vectors are equal places the
+packets to decide.  Cycle-engine steps, which route the positions, and
+smaller model steps place every packet (:func:`_spread_nodes`).  Both
+derivations give the same stage metrics.
+
 Step plans: without faults, CULLING's selection, every stage's loads
 and every leg's route cost are a pure function of the request array
 (Theorem 1's simulation is deterministic).  Each protocol keeps the
@@ -52,6 +65,7 @@ from repro.mesh.packets import PacketBatch
 from repro.mesh.sorting import shearsort_steps
 from repro.obs import tracer as _obs
 from repro.util.grouping import rank_within_groups
+from repro.util.validate import check_int_array
 
 __all__ = [
     "AccessProtocol",
@@ -66,6 +80,12 @@ __all__ = [
 #: key bytes plus a row of the boolean selection), so 16 loads are about
 #: 1.1 MB at n = 4096; a plan adds about 1.5 KB of objects.
 _PLAN_CACHE_LOADS = 16
+
+#: A model-engine step of at least this many packets takes its stage
+#: loads from page histograms (:func:`_spread_loads`); smaller steps,
+#: and every cycle-engine step, place each packet (:func:`_spread_nodes`).
+#: Picked from the crossover table in EXPERIMENTS.md.
+_HISTOGRAM_MIN_PACKETS = 2048
 
 
 @dataclass(frozen=True)
@@ -191,6 +211,42 @@ def _moves(src: np.ndarray, dst: np.ndarray) -> bool:
     return bool(src.size) and not np.array_equal(src, dst)
 
 
+def _spread_nodes(placement, level: int, keys: np.ndarray):
+    """Node of every packet once each level-``level`` page spreads its
+    packets evenly over the page's node span (sort-and-rank: the
+    ``r``-th packet of a page, in packet order, goes to the span's node
+    ``r mod L``), and each packet's span length ``L``."""
+    first, last = placement.page_node_spans(level, None, None, keys=keys)
+    span_len = last - first + 1
+    rank = rank_within_groups(keys)
+    return placement.mesh.node_of_rank(first + rank % span_len), span_len
+
+
+def _spread_loads(placement, level: int, keys: np.ndarray):
+    """Per-node loads of :func:`_spread_nodes`, indexed by curve rank,
+    from the pages' packet counts alone; and the widest span holding a
+    packet (1 when none does).
+
+    A page of ``c`` packets over a span of ``L`` nodes puts ``c // L``
+    packets on every node of the span and one more on its first
+    ``c % L`` nodes, which is what ranks ``0 .. c - 1`` modulo ``L``
+    give.  Pages narrower than a node share their boundary nodes, so
+    the spans are summed as a difference array over curve ranks.
+    """
+    _, _, first, last = placement.page_table(level)
+    counts = np.bincount(keys)
+    pages = (counts > 0).nonzero()[0]  # faster on a bool mask than on int64
+    first, last = first[pages], last[pages]
+    span_len = last - first + 1
+    base, extra = np.divmod(counts[pages], span_len)
+    n = placement.mesh.n
+    steps = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(steps, first, base + 1)
+    np.add.at(steps, first + extra, -1)
+    np.add.at(steps, last + 1, -base)
+    return np.cumsum(steps[:n]), int(span_len.max(initial=1))
+
+
 class AccessProtocol:
     """Executes read/write steps against one :class:`HMOS` instance.
 
@@ -246,6 +302,8 @@ class AccessProtocol:
         )
         self._plans: OrderedDict[bytes, tuple] = OrderedDict()
         self._planned_requests = 0
+        # Node at every curve rank, built by the first histogram step.
+        self._curve_nodes: np.ndarray | None = None
 
     # -- public API -----------------------------------------------------------
 
@@ -414,7 +472,7 @@ class AccessProtocol:
         self, variables, op, values, *, timestamp: int, is_write=None, tracer
     ) -> AccessResult:
         scheme = self.scheme
-        variables = np.asarray(variables, dtype=np.int64)
+        variables = check_int_array("variables", variables)
         if op in ("write", "mixed"):
             values = np.asarray(values, dtype=np.int64)
             if values.shape != variables.shape:
@@ -573,33 +631,40 @@ class AccessProtocol:
         # faults the reassignment map substitutes the surviving proxy.
         origins = requesters[rows] if requesters is not None else rows
 
-        positions = [origins]
-        stage_info: list[tuple[int, int, int, int, float]] = []
+        # The k + 2 leg ends: the origins, then where each stage leaves
+        # the packets.  A model step large enough charges its stages
+        # from the ends' loads alone; every other step places each
+        # packet (the cycle engine routes the positions).
+        if self.engine == "model" and flat.size >= _HISTOGRAM_MIN_PACKETS:
+            loads, widths = self._page_loads(origins, page_keys, copy_nodes)
+            deltas = [int(load.max()) for load in loads]
+            # Different loads at a leg's two ends mean a packet moved;
+            # where they are equal, only the positions can tell.
+            moves = [not np.array_equal(a, b) for a, b in zip(loads, loads[1:])]
+            positions = None
+            if not all(moves):
+                positions, _ = self._place_packets(origins, page_keys, copy_nodes)
+        else:
+            positions, widths = self._place_packets(origins, page_keys, copy_nodes)
+            deltas = [_max_per_node(nodes, n) for nodes in positions]
+            moves = [False] * (k + 1)
+        if positions is not None:
+            moves = [
+                moved or _moves(src, dst)
+                for moved, src, dst in zip(moves, positions, positions[1:])
+            ]
+
         # A stage operates within the pages one level up: the widest of
-        # them, whose spans the previous stage computed, sets t_nodes
-        # (the whole mesh for stage k + 1).  Each stage starts from the
-        # load the previous one ended with.
+        # them sets t_nodes (the whole mesh for stage k + 1).  Each
+        # stage starts from the load the previous one ended with.
+        stage_info: list[tuple[int, int, int, int, float]] = []
         t_nodes = n
-        delta_in = _max_per_node(origins, n)
-        for stage in range(k + 1, 0, -1):
-            if stage == 1:
-                targets = copy_nodes
-                sort_charge = 0.0  # stage 1 is pure (delta_1, delta_0)-routing
-            else:
-                keys = page_keys[stage - 2]
-                first, last = placement.page_node_spans(
-                    stage - 1, None, None, keys=keys
-                )
-                rank = rank_within_groups(keys)
-                span_len = last - first + 1
-                targets = scheme.mesh.node_of_rank(first + rank % span_len)
-                sort_charge = self._sort_charge(delta_in, t_nodes)
-            delta_out = _max_per_node(targets, n)
-            stage_info.append((stage, t_nodes, delta_in, delta_out, sort_charge))
-            positions.append(targets)
-            delta_in = delta_out
+        for i, stage in enumerate(range(k + 1, 0, -1)):
+            # Stage 1 is pure (delta_1, delta_0)-routing: nothing to sort.
+            sort_charge = self._sort_charge(deltas[i], t_nodes) if stage > 1 else 0.0
+            stage_info.append((stage, t_nodes, deltas[i], deltas[i + 1], sort_charge))
             if stage > 1:
-                t_nodes = int(span_len.max()) if span_len.size else 1
+                t_nodes = widths[i]
 
         # Every stage's targets are fixed by the placement (they never
         # depend on where earlier routing put the packets), so all
@@ -607,7 +672,7 @@ class AccessProtocol:
         # data-independent routing problems.  The cycle engine advances
         # them in ONE route_many stepping loop; the model engine charges
         # each leg in closed form.
-        forward_steps, return_steps = self._route_legs(positions, stage_info)
+        forward_steps, return_steps = self._route_legs(positions, moves, stage_info)
         stages = tuple(
             StageMetrics(
                 stage=stage,
@@ -622,6 +687,37 @@ class AccessProtocol:
             )
         )
         return culling_res, stages, return_steps, reassignments
+
+    def _place_packets(self, origins, page_keys, copy_nodes):
+        """Every packet's node at each leg end, and the widest page span
+        of each stage ``k + 1 .. 2``."""
+        placement = self.scheme.placement
+        positions = [origins]
+        widths = []
+        for level in range(self.scheme.params.k, 0, -1):
+            nodes, span_len = _spread_nodes(placement, level, page_keys[level - 1])
+            positions.append(nodes)
+            widths.append(int(span_len.max()) if span_len.size else 1)
+        positions.append(copy_nodes)
+        return positions, widths
+
+    def _page_loads(self, origins, page_keys, copy_nodes):
+        """Every leg end's per-node loads, indexed by curve rank, and the
+        widest page span of each stage ``k + 1 .. 2``, from histograms
+        of the packets' page keys."""
+        placement = self.scheme.placement
+        n = self.scheme.params.n
+        if self._curve_nodes is None:
+            self._curve_nodes = placement.mesh.node_of_rank(np.arange(n))
+        curve = self._curve_nodes
+        loads = [np.bincount(origins, minlength=n)[curve]]
+        widths = []
+        for level in range(self.scheme.params.k, 0, -1):
+            load, widest = _spread_loads(placement, level, page_keys[level - 1])
+            loads.append(load)
+            widths.append(widest)
+        loads.append(np.bincount(copy_nodes, minlength=n)[curve])
+        return loads, widths
 
     def _emit_lane_spans(self, tracer, op, culling_res, stages, return_steps):
         """Mesh-step lane trace of one access.
@@ -680,22 +776,26 @@ class AccessProtocol:
         side = max(2, 1 << max(0, (max(t_nodes, 1) - 1).bit_length() // 2))
         return float(max(delta, 1) * shearsort_steps(side))
 
-    def _route_legs(self, positions, stage_info):
+    def _route_legs(self, positions, moves, stage_info):
         """Step costs of the forward legs (aligned with ``stage_info``)
         plus the total return journey.
 
-        A reversed routing schedule takes exactly as many steps as the
-        forward one, which is why the paper notes the
-        origin->destination part dominates; the model engine charges the
-        mirror cost, the cycle engine measures the actual reversed
-        batches — all legs batched through one ``route_many`` call.
+        ``moves[i]`` tells whether leg ``i`` moves any packet; a leg
+        that moves none costs nothing either way.  A reversed routing
+        schedule takes exactly as many steps as the forward one, which
+        is why the paper notes the origin->destination part dominates;
+        the model engine charges the mirror cost, the cycle engine
+        measures the actual reversed batches of ``positions`` — all
+        legs batched through one ``route_many`` call.
         """
         if self.engine == "model":
             forward = [
                 self.cost_model.route_steps(delta_in, delta_out, t_nodes)
-                if _moves(positions[i], positions[i + 1])
+                if moved
                 else 0.0
-                for i, (_, t_nodes, delta_in, delta_out, _) in enumerate(stage_info)
+                for moved, (_, t_nodes, delta_in, delta_out, _) in zip(
+                    moves, stage_info
+                )
             ]
             return forward, float(sum(forward))
         nstages = len(stage_info)
@@ -704,15 +804,13 @@ class AccessProtocol:
         slots: list[tuple[str, int]] = []
         batches: list[PacketBatch] = []
         for i in range(nstages):
-            src, dst = positions[i], positions[i + 1]
-            if _moves(src, dst):
+            if moves[i]:
                 slots.append(("fwd", i))
-                batches.append(PacketBatch(src, dst))
-        for leg in range(len(positions) - 1, 0, -1):
-            src, dst = positions[leg], positions[leg - 1]
-            if _moves(src, dst):
+                batches.append(PacketBatch(positions[i], positions[i + 1]))
+        for leg in range(nstages, 0, -1):
+            if moves[leg - 1]:
                 slots.append(("ret", leg))
-                batches.append(PacketBatch(src, dst))
+                batches.append(PacketBatch(positions[leg], positions[leg - 1]))
         if batches:
             results = self._sync.route_many(batches)
             for (kind, i), res in zip(slots, results):

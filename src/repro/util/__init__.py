@@ -18,7 +18,12 @@ from repro.util.intmath import (
 from repro.util.fsio import write_text_atomic
 from repro.util.grouping import rank_within_groups
 from repro.util.tables import format_table
-from repro.util.validate import check_index, check_positive, check_type
+from repro.util.validate import (
+    check_index,
+    check_int_array,
+    check_positive,
+    check_type,
+)
 
 __all__ = [
     "ceil_div",
@@ -31,6 +36,7 @@ __all__ = [
     "format_table",
     "rank_within_groups",
     "check_index",
+    "check_int_array",
     "check_positive",
     "check_type",
     "write_text_atomic",

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["check_index", "check_positive", "check_type"]
+import numpy as np
+
+__all__ = ["check_index", "check_int_array", "check_positive", "check_type"]
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def check_positive(name: str, value: int, *, minimum: int = 1) -> int:
@@ -32,3 +36,15 @@ def check_type(name: str, value: Any, expected: type) -> Any:
             f"{name} must be {expected.__name__}, got {type(value).__name__}"
         )
     return value
+
+
+def check_int_array(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array; ``ValueError`` unless every entry is
+    an integer that fits int64 (floats, strings and booleans are not
+    truncated or parsed).  An empty sequence is a valid empty array."""
+    arr = np.asarray(values)
+    if arr.size and (
+        arr.dtype.kind not in "iu" or (arr.dtype.kind == "u" and arr.max() > _INT64_MAX)
+    ):
+        raise ValueError(f"{name} must be int64 integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)

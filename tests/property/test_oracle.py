@@ -15,12 +15,17 @@ from hypothesis import strategies as st
 
 from repro.check import CaseSpec, DivergenceError, StepSpec, load_artifact, run_case
 from repro.check.fuzz import replay, run_fuzz
-from repro.check.generate import PROFILES, feasible_configs, random_case
+from repro.check.generate import feasible_configs, random_case
 
 
 class TestOracleFuzz:
     @settings(max_examples=20)
-    @given(seed=st.integers(0, 2**63 - 1), profile=st.sampled_from(PROFILES))
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        # The full-size profile runs in CI's fuzz-smoke campaign; here
+        # its cases are only generated (tests/test_parallel.py).
+        profile=st.sampled_from(("default", "fault-heavy")),
+    )
     def test_stack_matches_pram_semantics(self, seed, profile):
         case = random_case(np.random.default_rng(seed), profile)
         report = run_case(case)

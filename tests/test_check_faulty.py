@@ -42,7 +42,7 @@ class TestFaultHeavyGeneration:
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="unknown profile"):
             random_case(np.random.default_rng(0), "bogus")
-        assert set(PROFILES) == {"default", "fault-heavy"}
+        assert set(PROFILES) == {"default", "fault-heavy", "full-size"}
 
     def test_schedule_covers_past_end_edge(self):
         """The generator draws event steps up to n_steps inclusive, so

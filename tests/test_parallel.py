@@ -17,7 +17,11 @@ import pytest
 import repro.check.fuzz as fuzz_mod
 from repro.check.case import CaseSpec, StepSpec, load_artifact
 from repro.check.fuzz import run_fuzz, shrink_case
-from repro.check.generate import feasible_configs, random_cases
+from repro.check.generate import (
+    feasible_configs,
+    full_size_configs,
+    random_cases,
+)
 from repro.parallel import parallel_map, run_commands
 
 
@@ -111,6 +115,23 @@ def test_random_cases_deterministic_and_in_bounds():
                 assert len(step.values) == len(step.variables)
             if step.op == "mixed":
                 assert len(step.is_write) == len(step.variables)
+
+
+def test_full_size_cases_build():
+    """The full-size profile draws n = 1024 and 4096 cases at alpha <=
+    1.5 whose first step is a full load; CI's fuzz-smoke job runs them."""
+    cases = random_cases(seed=0, count=8, profile="full-size")
+    assert cases == random_cases(seed=0, count=8, profile="full-size")
+    configs = set(full_size_configs())
+    assert {cfg[0] for cfg in configs} == {1024, 4096}
+    assert max(cfg[1] for cfg in configs) == 1.5
+    for case in cases:
+        assert (case.n, case.alpha, case.q, case.k) in configs
+        assert len(case.steps[0].variables) == case.n
+        for step in case.steps:
+            assert 1 <= len(step.variables) <= case.n
+            assert len(set(step.variables)) == len(step.variables)
+        assert CaseSpec.from_dict(case.to_dict()) == case
 
 
 def test_case_dict_roundtrip():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.culling import cull
 from repro.hmos import HMOS
 from repro.protocol import AccessProtocol
 
@@ -32,6 +33,20 @@ class TestValidation:
     def test_write_requires_aligned_values(self, cycle):
         with pytest.raises(ValueError):
             cycle.write(np.array([1, 2]), np.array([1]), timestamp=0)
+
+    @pytest.mark.parametrize("bad", [[1.9], ["1"], [True], [2**63], [2**64]])
+    def test_rejects_non_integer_ids(self, model, scheme, bad):
+        """Ids are never truncated, parsed or wrapped: 1.9 and "1" used
+        to read variable 1, and 2**63 raised OverflowError."""
+        model.write([1], [111], timestamp=1)
+        with pytest.raises(ValueError, match="int64 integers"):
+            model.read(bad)
+        with pytest.raises(ValueError, match="int64 integers"):
+            cull(scheme, bad)
+        with pytest.raises(ValueError, match="int64 integers"):
+            scheme.memory.read(bad, 0)
+        assert model.read([]).values.size == 0
+        assert model.read(np.array([1], dtype=np.uint8)).values.tolist() == [111]
 
 
 class TestReadWrite:
