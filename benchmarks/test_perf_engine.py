@@ -16,6 +16,12 @@ of a full-load uniform-cycle-4096 step (6 batches x 16,384 packets at
 with 2 CPUs, against the same call through the in-process core; on 2
 CPUs the split must not be slower.
 
+A third row times a served window at ``n = 64``: the legs of seeded
+coalesced steps, as many as fill one ``run_steps`` route budget, routed
+as one ``route_many`` call against one call per step (median of
+alternating runs).  The results must be identical and the merged call
+must not be slower.
+
 Run directly with ``pytest benchmarks/test_perf_engine.py -q``.  With
 ``REPRO_PERF_QUICK=1`` (the CI smoke job) the same instance and gate
 record to the gitignored ``BENCH_engine.quick.json``, so a quick run
@@ -32,7 +38,10 @@ from pathlib import Path
 import numpy as np
 from _harness import instance_metadata
 
+from repro.hmos import HMOS
 from repro.mesh import Mesh, PacketBatch, SynchronousEngine, reference_route
+from repro.protocol import access
+from repro.protocol.access import AccessProtocol, StepRequest
 
 QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
 BENCH_JSON = Path(__file__).parent / (
@@ -157,3 +166,71 @@ def test_route_many_split_speedup():
     )
     if cpus >= 2:
         assert core_s / many_s >= 1.0
+
+
+def _served_window_legs(seed: int = 12):
+    """The legs of a seeded window of coalesced mixed steps at n = 64
+    (16 requests of up to 4 variables each), one list of batches per
+    step, with as many steps as fill one route budget."""
+    scheme = HMOS(64, 1.5, 3, 2)
+    protocol = AccessProtocol(scheme, engine="cycle")
+    legs = []
+    route_many = protocol._sync.route_many
+
+    def capture(batches, **kwargs):
+        legs.append(list(batches))
+        return route_many(batches, **kwargs)
+
+    protocol._sync.route_many = capture
+    rng = np.random.default_rng(seed)
+    packets = 0
+    while packets < access._ROUTE_BUDGET:
+        size = int(rng.integers(40, 65))
+        variables = rng.choice(scheme.num_variables, size=size, replace=False)
+        protocol.run_steps([
+            StepRequest("mixed", variables, rng.integers(0, 1 << 20, size),
+                        rng.random(size) < 0.5)
+        ])
+        packets += sum(len(b) for b in legs[-1])
+    return legs, packets
+
+
+def test_served_window_one_call_per_window():
+    legs, packets = _served_window_legs()
+    merged = [batch for step in legs for batch in step]
+    engine = SynchronousEngine(Mesh(8))
+    engine.route_many(merged)  # warm buffers
+    merged_t, per_step_t = [], []
+    for _ in range(9 if QUICK else 31):
+        t0 = time.perf_counter()
+        got = engine.route_many(merged)
+        t1 = time.perf_counter()
+        ref = [res for step in legs for res in engine.route_many(step)]
+        merged_t.append(t1 - t0)
+        per_step_t.append(time.perf_counter() - t1)
+    for r, g in zip(ref, got):
+        assert (r.steps, r.total_hops, r.max_queue) == (
+            g.steps, g.total_hops, g.max_queue,
+        )
+        np.testing.assert_array_equal(r.node_traffic, g.node_traffic)
+    merged_s, per_step_s = statistics.median(merged_t), statistics.median(per_step_t)
+    record = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
+    record["served_window"] = {
+        "benchmark": "SynchronousEngine.route_many at n=64 (8x8): the legs of one "
+        "route budget of coalesced mixed steps (seed 12) as one call vs one call "
+        f"per step, median of {len(merged_t)} alternating runs",
+        "route_budget": access._ROUTE_BUDGET,
+        "steps": len(legs),
+        "batches": len(merged),
+        "packets": packets,
+        "merged_seconds": merged_s,
+        "per_step_seconds": per_step_s,
+        "ratio": per_step_s / merged_s,
+    }
+    BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
+    print(
+        f"\nserved window: {len(legs)} steps, {packets} packets: one call "
+        f"{merged_s * 1e3:.2f} ms vs one per step {per_step_s * 1e3:.2f} ms "
+        f"-> {per_step_s / merged_s:.2f}x"
+    )
+    assert merged_s <= per_step_s

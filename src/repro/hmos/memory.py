@@ -158,7 +158,9 @@ class CopyMemory:
         flattened copies.  With a ``(len(variables), q^k)`` copy mask,
         it broadcasts against ``variables``: each variable's value goes
         to every copy its row selects.  If a copy appears more than
-        once, its last value wins.
+        once, its last value wins.  ``values`` must be int64 integers:
+        floats, strings and booleans raise ``ValueError`` before any row
+        is claimed.
         """
         ts = int(timestamp)
         if ts < 0:
@@ -166,8 +168,8 @@ class CopyMemory:
                 f"timestamp must be >= 0 ({_UNWRITTEN_TS} marks an unwritten copy)"
             )
         variables, paths = self._checked(variables, paths)
+        values = check_int_array("values", values)
         rows = self._claim_rows(variables)
-        values = np.asarray(values, dtype=np.int64)
         if paths.dtype == bool:
             cells, at = self._masked(rows, paths)
             values = np.broadcast_to(values, variables.shape)[at]

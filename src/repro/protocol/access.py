@@ -39,6 +39,25 @@ plans of recent request arrays, keyed by their exact bytes, and a step
 whose array was planned before goes straight to the memory access (see
 :class:`AccessProtocol`).
 
+Windows: every :meth:`AccessProtocol.run_steps` call is one window of
+three phases, and ``read``, ``write`` and ``mixed`` are one-step
+windows.  First each step, in order, applies its due fault events and
+is planned: CULLING and stage planning, or a cached plan, or the plan
+of an earlier step of the window with the same request array.  The
+placement fixes every stage target in advance, so each leg of a step
+is a routing problem independent of every other leg: the cycle engine
+routes the pending legs of all planned steps in one ``route_many``
+call, made whenever they reach ``_ROUTE_BUDGET`` packets and once more
+at the end of the window.  Only then does each routed step touch the
+copy store and get its result, in step order.  CULLING and fault events
+touch no memory, and a batch routes the same alone or with others, so
+values, timestamps, stage metrics and refusals equal one call per
+step; only the number of stepping loops falls.  A refusal while
+planning refuses its step.  One from routing (the livelock guard)
+refuses every step of that call, and none of them touches memory.
+Under ``on_error="raise"``, and for usage errors always, the error
+propagates once the steps planned before it are routed and applied.
+
 Two execution engines:
 
 * ``engine="cycle"`` — every stage's packet movement is simulated by the
@@ -53,6 +72,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +106,11 @@ _PLAN_CACHE_LOADS = 16
 #: and every cycle-engine step, place each packet (:func:`_spread_nodes`).
 #: Picked from the crossover table in EXPERIMENTS.md.
 _HISTOGRAM_MIN_PACKETS = 2048
+
+#: A window hands its pending legs to one ``route_many`` call as soon as
+#: they hold this many packets, and once more at its end.  Picked from
+#: the crossover table in EXPERIMENTS.md.
+_ROUTE_BUDGET = 8192
 
 
 @dataclass(frozen=True)
@@ -247,6 +272,102 @@ def _spread_loads(placement, level: int, keys: np.ndarray):
     return np.cumsum(steps[:n]), int(span_len.max(initial=1))
 
 
+def _refusal(index: int, op: str, variables, exc: Exception, origin, tracer) -> StepError:
+    """A refused step's record (``run_steps(on_error="record")``)."""
+    tracer.count("protocol.step_errors")
+    return StepError(
+        index=index,
+        op=op,
+        n_requests=len(variables),
+        message=str(exc),
+        origin=origin,
+    )
+
+
+class _Plan:
+    """One request array's CULLING result, stage metrics and return cost.
+
+    A fresh cycle-engine plan has no route costs yet: it holds the
+    stages' ``(stage, t_nodes, delta_in, delta_out, sort_charge)`` and
+    its moving legs as ``(stage index, batch)`` pairs, index ``-1`` for
+    a return leg, until :meth:`routed` gets their step counts.
+    """
+
+    __slots__ = ("culling", "stages", "return_steps", "reassignments", "stage_info", "legs")
+
+    def __init__(self, culling, stages=None, return_steps=0.0, reassignments=()):
+        self.culling = culling
+        self.stages = stages
+        self.return_steps = return_steps
+        self.reassignments = reassignments
+        self.stage_info = None
+        self.legs = ()
+
+    def finish(self, stage_info, forward, return_steps: float) -> None:
+        """Set the stage metrics from the forward legs' route costs."""
+        self.stages = tuple(
+            StageMetrics(*info, route_steps)
+            for info, route_steps in zip(stage_info, forward)
+        )
+        self.return_steps = return_steps
+        self.stage_info = None
+        self.legs = ()
+
+    def routed(self, results) -> None:
+        """Finish the plan from its legs' route results, in leg order."""
+        forward = [0.0] * len(self.stage_info)
+        return_steps = 0.0
+        for (i, _), res in zip(self.legs, results):
+            if i < 0:
+                return_steps += float(res.steps)
+            else:
+                forward[i] = float(res.steps)
+        self.finish(self.stage_info, forward, return_steps)
+
+
+class _Pending(NamedTuple):
+    """A planned step waiting for its route costs and memory access."""
+
+    index: int
+    op: str
+    variables: np.ndarray
+    values: np.ndarray | None
+    is_write: np.ndarray | None
+    timestamp: int
+    origin: object
+    key: bytes | None
+    plan: _Plan
+
+
+class _Window:
+    """The steps of a window planned but not yet routed and applied: the
+    pending steps, the fresh plans by request bytes, the fresh plans
+    with legs to route, and those legs' packet count."""
+
+    __slots__ = ("steps", "plans", "routing", "packets")
+
+    def __init__(self):
+        self.steps: list[_Pending] = []
+        self.plans: dict[bytes, _Plan] = {}
+        self.routing: list[_Plan] = []
+        self.packets = 0
+
+
+def _released(culling_res: CullingResult, key: bytes | None) -> CullingResult:
+    """CULLING's result without its page keys, which only planning needs.
+
+    A result kept under ``key`` owns no caller array: its ``variables``
+    become a read-only view of ``key`` and its selection is made
+    read-only, so the steps sharing it cannot change it.
+    """
+    if key is None:
+        return replace(culling_res, page_keys=None)
+    culling_res.selected.flags.writeable = False
+    return replace(
+        culling_res, variables=np.frombuffer(key, dtype=np.int64), page_keys=None
+    )
+
+
 class AccessProtocol:
     """Executes read/write steps against one :class:`HMOS` instance.
 
@@ -275,7 +396,8 @@ class AccessProtocol:
     return cost.  A step whose array has the same bytes (order
     included: requester j sits at node j) reuses that plan and skips
     CULLING, stage planning and routing, so its values, timestamps and
-    step counts equal a fresh protocol's.  Only a plan whose step
+    step counts equal a fresh protocol's.  So does a step whose array
+    an earlier step of the same window planned.  Only a plan whose step
     succeeded is stored, so every cached array has passed CULLING's
     checks.  The cache starts empty, belongs to this instance (never
     to the scheme, which cached builds share), and evicts the least
@@ -309,11 +431,11 @@ class AccessProtocol:
 
     def read(self, variables) -> AccessResult:
         """Satisfy a set of distinct read requests; returns values."""
-        return self._execute(variables, "read", None, timestamp=0)
+        return self._step(StepRequest("read", variables), 0)
 
     def write(self, variables, values, *, timestamp: int) -> AccessResult:
         """Satisfy a set of distinct write requests at the given time."""
-        return self._execute(variables, "write", values, timestamp=timestamp)
+        return self._step(StepRequest("write", variables, values), timestamp)
 
     def mixed(
         self, variables, is_write, values, *, timestamp: int
@@ -329,9 +451,10 @@ class AccessProtocol:
 
         Parameters
         ----------
-        is_write : bool array aligned with ``variables``
-        values : int array aligned with ``variables`` (ignored at read
-            positions)
+        is_write : bool array aligned with ``variables`` (any other
+            dtype is refused with ``ValueError``)
+        values : int64 integers aligned with ``variables`` (checked
+            everywhere, written only at write positions)
 
         Returns
         -------
@@ -340,9 +463,7 @@ class AccessProtocol:
         the write phase, so concurrent readers of a written variable see
         the old value).
         """
-        return self._execute(
-            variables, "mixed", values, timestamp=timestamp, is_write=is_write
-        )
+        return self._step(StepRequest("mixed", variables, values, is_write), timestamp)
 
     def run_steps(
         self,
@@ -361,6 +482,17 @@ class AccessProtocol:
         ``start_timestamp`` (reads ignore theirs), so a stream replayed
         here is bit-identical to the same steps issued one by one.
 
+        The call is one window of three phases.  Each step, in order,
+        is validated and planned (CULLING, stage planning, its legs).
+        The pending legs of the planned steps go through one
+        ``route_many`` call whenever they reach ``_ROUTE_BUDGET``
+        packets, and once more at the end of the window.  Only then
+        does each routed step, in step order, touch the copy store and
+        get its result.  CULLING and fault events read and write no
+        memory, and a batch routes the same alone or with others, so
+        the results equal one call per step.  The window reads every
+        step's arrays until it returns.
+
         Parameters
         ----------
         steps : iterable
@@ -374,7 +506,13 @@ class AccessProtocol:
             (``RuntimeError``, e.g. unrecoverable variables or an
             all-processors-dead state under faults) yields a
             :class:`StepError` entry instead of propagating; the stream
-            continues with the next step.
+            continues with the next step.  A refusal while planning
+            refuses its step; one from routing (the engine's livelock
+            guard) refuses every step of that ``route_many`` call, and
+            none of them touches memory.  With ``"raise"``, and for
+            usage errors (``ValueError``) always, the error propagates
+            once the steps planned before it have been routed and
+            applied.
 
         Fault schedules: when the protocol carries a
         :class:`FaultInjector` with a schedule, every step boundary
@@ -383,198 +521,222 @@ class AccessProtocol:
         step completed or was refused — so steps before the earliest
         due event are bit-identical to a fault-free run.  This is the
         clock's only owner: :class:`repro.pram.MeshBackend` issues
-        every step, single or batched, as a one-step call here.
+        every step, single or batched, as a one-step call here, and
+        :meth:`read`, :meth:`write` and :meth:`mixed` run one-step
+        windows that leave the clock alone.
 
         Returns
         -------
         list of AccessResult or StepError, aligned with ``steps``.
         """
+        return self._window(steps, start_timestamp, on_error, clock=True)
+
+    # -- internals --------------------------------------------------------------
+
+    def _step(self, request: StepRequest, timestamp: int) -> AccessResult:
+        """One step as a one-step window, outside the fault schedule."""
+        return self._window([request], timestamp, "raise", clock=False)[0]
+
+    def _window(self, steps, start_timestamp, on_error, *, clock: bool) -> list:
+        """Plan, route and apply ``steps`` (see :meth:`run_steps`);
+        ``clock`` makes the window own the fault schedule's step clock."""
         if on_error not in ("raise", "record"):
             raise ValueError(
                 f"on_error must be 'raise' or 'record', got {on_error!r}"
             )
         tracer = _obs.current()
-        faults = self.faults
+        faults = self.faults if clock else None
         results: list = []
-        for index, step in enumerate(steps):
-            op = step.op
-            variables = step.variables
-            # StepSpec and other duck-typed steps carry no origin token.
-            origin = getattr(step, "origin", None)
-            timestamp = start_timestamp + index
-            if faults is not None:
-                faults.apply_due_events()
-            try:
-                with tracer.span("protocol.step", index=index, op=op):
-                    if op == "read":
-                        result = self.read(variables)
-                    elif op == "write":
-                        result = self.write(
-                            variables, step.values, timestamp=timestamp
-                        )
-                    elif op == "mixed":
-                        result = self.mixed(
-                            variables,
-                            step.is_write,
-                            step.values,
-                            timestamp=timestamp,
-                        )
-                    else:
-                        raise ValueError(f"step {index}: unknown op {op!r}")
-                if origin is not None:
-                    result = replace(result, origin=origin)
-                results.append(result)
-            except RuntimeError as exc:
-                if on_error == "raise":
-                    raise
-                tracer.count("protocol.step_errors")
-                results.append(
-                    StepError(
-                        index=index,
-                        op=op,
-                        n_requests=len(variables),
-                        message=str(exc),
-                        origin=origin,
-                    )
-                )
-            finally:
+        window = _Window()
+        try:
+            for index, step in enumerate(steps):
+                results.append(None)
+                op = step.op
+                # StepSpec and other duck-typed steps carry no origin token.
+                origin = getattr(step, "origin", None)
                 if faults is not None:
-                    faults.advance_clock()
+                    faults.apply_due_events()
+                try:
+                    with tracer.span("protocol.step", index=index, op=op):
+                        self._queue(
+                            window, index, step, origin, start_timestamp + index, tracer
+                        )
+                except RuntimeError as exc:
+                    if on_error == "raise":
+                        raise
+                    results[index] = _refusal(
+                        index, op, step.variables, exc, origin, tracer
+                    )
+                finally:
+                    if faults is not None:
+                        faults.advance_clock()
+                if window.packets >= _ROUTE_BUDGET:
+                    full, window = window, _Window()
+                    self._settle(full, results, on_error, tracer)
+        finally:
+            self._settle(window, results, on_error, tracer)
         return results
 
-    # -- internals --------------------------------------------------------------
+    def _queue(self, window, index, step, origin, timestamp, tracer) -> None:
+        """Validate and plan one step and queue it in ``window``.
 
-    def _execute(
-        self, variables, op, values, *, timestamp: int, is_write=None
-    ) -> AccessResult:
-        tracer = _obs.current()
-        if not tracer.enabled:
-            return self._execute_impl(
-                variables, op, values, timestamp=timestamp, is_write=is_write,
-                tracer=tracer,
-            )
-        with tracer.span(
-            "protocol.access", op=op, engine=self.engine
-        ) as span:
-            result = self._execute_impl(
-                variables, op, values, timestamp=timestamp, is_write=is_write,
-                tracer=tracer,
-            )
-            span.set(
-                requests=int(result.variables.size),
-                total_steps=float(result.total_steps),
-                culling_steps=float(result.culling.charged_steps),
-                return_steps=float(result.return_steps),
-            )
-            return result
-
-    def _execute_impl(
-        self, variables, op, values, *, timestamp: int, is_write=None, tracer
-    ) -> AccessResult:
-        scheme = self.scheme
-        variables = check_int_array("variables", variables)
-        if op in ("write", "mixed"):
-            values = np.asarray(values, dtype=np.int64)
+        A request array the window already planned, or the plan cache
+        holds, reuses that plan (a ``protocol.plan_hits`` hit); any other
+        is planned here, and a fresh cycle-engine plan's moving legs
+        join the window's pending packets.
+        """
+        op = step.op
+        if op not in ("read", "write", "mixed"):
+            raise ValueError(f"step {index}: unknown op {op!r}")
+        variables = check_int_array("variables", step.variables)
+        values = is_write = None
+        if op != "read":
+            values = check_int_array("values", step.values)
             if values.shape != variables.shape:
                 raise ValueError("values must align with variables")
+            if timestamp < 0:
+                raise ValueError(f"timestamp must be >= 0, got {timestamp}")
         if op == "mixed":
-            is_write = np.asarray(is_write, dtype=bool)
+            is_write = np.asarray(step.is_write)
+            if is_write.size and is_write.dtype != bool:
+                raise ValueError(f"is_write must be booleans, got {is_write.dtype} values")
             if is_write.shape != variables.shape:
                 raise ValueError("is_write must align with variables")
+            is_write = is_write.astype(bool, copy=False)
 
         # Fault-free 1-D request arrays are keyed by their bytes; any
         # other shape is planned, so CULLING refuses it every time.
         key = None
+        plan = None
         if self.faults is None and variables.ndim == 1:
             key = variables.tobytes()
-        plan = self._plans.get(key) if key is not None else None
-        reassignments: tuple[tuple[int, int], ...] = ()
-        if plan is not None:
-            self._plans.move_to_end(key)
-            tracer.count("protocol.plan_hits")
-            culling_res, stages, return_steps = plan
-        else:
-            culling_res, stages, return_steps, reassignments = self._plan(
-                variables, tracer
+            plan = window.plans.get(key)
+            if plan is None and key in self._plans:
+                plan = _Plan(*self._plans[key])
+            if plan is not None:
+                tracer.count("protocol.plan_hits")
+        if plan is None:
+            plan = self._plan(variables, key, tracer)
+            if key is not None:
+                window.plans[key] = plan
+            if plan.legs:
+                window.routing.append(plan)
+                window.packets += sum(len(batch) for _, batch in plan.legs)
+        window.steps.append(
+            _Pending(index, op, variables, values, is_write, timestamp, origin, key, plan)
+        )
+
+    def _settle(self, window: _Window, results: list, on_error: str, tracer) -> None:
+        """Route the window's pending legs in one ``route_many`` call, then
+        give each pending step its memory access and result, in step
+        order.  Under ``"record"`` a routing refusal refuses every
+        pending step instead, and none touches memory."""
+        if window.routing:
+            plans = window.routing
+            batches = [batch for plan in plans for _, batch in plan.legs]
+            try:
+                routed = self._sync.route_many(batches)
+            except RuntimeError as exc:
+                if on_error == "raise":
+                    raise
+                for step in window.steps:
+                    results[step.index] = _refusal(
+                        step.index, step.op, step.variables, exc, step.origin, tracer
+                    )
+                return
+            done = 0
+            for plan in plans:
+                legs = len(plan.legs)
+                plan.routed(routed[done : done + legs])
+                done += legs
+        for step in window.steps:
+            results[step.index] = self._access(step, tracer)
+
+    def _access(self, step: _Pending, tracer) -> AccessResult:
+        """A routed step's memory access and result (see :meth:`_apply`),
+        in a ``protocol.access`` span with its lane spans when traced."""
+        if not tracer.enabled:
+            return self._apply(step, tracer)
+        plan = step.plan
+        with tracer.span("protocol.access", op=step.op, engine=self.engine) as span:
+            self._emit_lane_spans(
+                tracer, step.op, plan.culling, plan.stages, plan.return_steps
             )
+            result = self._apply(step, tracer)
+            span.set(
+                requests=int(result.variables.size),
+                total_steps=float(result.total_steps),
+                culling_steps=float(plan.culling.charged_steps),
+                return_steps=float(plan.return_steps),
+            )
+        return result
 
-        if tracer.enabled:
-            self._emit_lane_spans(tracer, op, culling_res, stages, return_steps)
-
+    def _apply(self, step: _Pending, tracer) -> AccessResult:
+        """A routed step's memory access and result; a keyed step's plan
+        enters (or refreshes) the plan cache."""
+        plan = step.plan
+        culling_res = plan.culling
+        op = step.op
         # Memory access at the copies.  Read phase precedes write phase
         # (the PRAM read-compute-write convention).
-        sel = culling_res.selected
+        memory = self.scheme.memory
+        variables, sel = step.variables, culling_res.selected
         out_values = None
         if op == "write":
-            scheme.memory.write(variables, sel, values, timestamp)
+            memory.write(variables, sel, step.values, step.timestamp)
         elif op == "read":
-            out_values = scheme.memory.read_latest_masked(variables, sel)
+            out_values = memory.read_latest_masked(variables, sel)
         else:  # mixed: returned values are PRE-write (read phase first),
             # so a concurrent reader of a written variable sees the old
             # value — the PRAM read-compute-write convention.
-            out_values = scheme.memory.read_latest_masked(variables, sel)
-            scheme.memory.write(
-                variables[is_write], sel[is_write], values[is_write], timestamp
+            out_values = memory.read_latest_masked(variables, sel)
+            is_write = step.is_write
+            memory.write(
+                variables[is_write], sel[is_write], step.values[is_write], step.timestamp
             )
 
         # A step is "degraded" when it completed but not at full
         # strength: requests ran through proxies, or surviving copies
         # forced weaker-than-level-0 starting target sets.
         start_levels = culling_res.start_levels
-        if reassignments or (
+        if plan.reassignments or (
             start_levels is not None and (start_levels > 0).any()
         ):
             tracer.count("protocol.degraded_steps")
-
-        # Only a step that succeeded leaves a plan behind.  The page keys
-        # were only needed for planning; a logged result must not keep
-        # (N, q^k) arrays per level alive.
-        if plan is None:
-            if key is None:
-                culling_res = replace(culling_res, page_keys=None)
-            else:
-                culling_res = self._remember(key, culling_res, stages, return_steps)
+        if step.key is not None:
+            self._keep(step.key, plan)
         return AccessResult(
             op=op,
             variables=culling_res.variables,
             values=out_values,
             culling=culling_res,
-            stages=stages,
-            return_steps=return_steps,
-            reassignments=reassignments,
+            stages=plan.stages,
+            return_steps=plan.return_steps,
+            reassignments=plan.reassignments,
+            origin=step.origin,
         )
 
-    def _remember(self, key: bytes, culling_res, stages, return_steps):
-        """Cache a fault-free step's plan under its request bytes and
-        return the CULLING result the plan keeps.
-
-        The kept result owns no caller array: ``variables`` is a
-        read-only view of ``key`` and ``selected`` is made read-only,
-        so the steps sharing it cannot change it.
-        """
-        culling_res.selected.flags.writeable = False
-        culling_res = replace(
-            culling_res,
-            variables=np.frombuffer(key, dtype=np.int64),
-            page_keys=None,
-        )
+    def _keep(self, key: bytes, plan: _Plan) -> None:
+        """Cache a succeeded fault-free step's plan under its request
+        bytes, or mark a cached one most recently used."""
         plans = self._plans
-        plans[key] = (culling_res, stages, return_steps)
-        self._planned_requests += culling_res.variables.size
+        if key in plans:
+            plans.move_to_end(key)
+            return
+        plans[key] = (plan.culling, plan.stages, plan.return_steps)
+        self._planned_requests += plan.culling.variables.size
         # A plan's objects cost about 1.5 KB whatever its size, so the
         # plan count is held to n as well.
         n = self.scheme.params.n
         while self._planned_requests > _PLAN_CACHE_LOADS * n or len(plans) > n:
             _, (evicted, _, _) = plans.popitem(last=False)
             self._planned_requests -= evicted.variables.size
-        return culling_res
 
-    def _plan(self, variables: np.ndarray, tracer):
-        """CULLING, stage planning and route costs of one request array.
-
-        Returns the CULLING result (still carrying its page keys), the
-        stage metrics, the return cost and the processor reassignments.
-        """
+    def _plan(self, variables: np.ndarray, key: bytes | None, tracer) -> _Plan:
+        """CULLING and stage planning of one request array, with the
+        processor reassignments; a model-engine plan also gets its route
+        costs, a cycle-engine plan the legs to route.  ``key`` names the
+        plan's cache key, if it has one (see :func:`_released`)."""
         scheme = self.scheme
         params = scheme.params
 
@@ -669,24 +831,40 @@ class AccessProtocol:
         # Every stage's targets are fixed by the placement (they never
         # depend on where earlier routing put the packets), so all
         # forward legs — and the return legs, which retrace them — are
-        # data-independent routing problems.  The cycle engine advances
-        # them in ONE route_many stepping loop; the model engine charges
-        # each leg in closed form.
-        forward_steps, return_steps = self._route_legs(positions, moves, stage_info)
-        stages = tuple(
-            StageMetrics(
-                stage=stage,
-                t_nodes=t_nodes,
-                delta_in=delta_in,
-                delta_out=delta_out,
-                sort_steps=sort_charge,
-                route_steps=forward_steps[i],
-            )
-            for i, (stage, t_nodes, delta_in, delta_out, sort_charge) in enumerate(
-                stage_info
-            )
-        )
-        return culling_res, stages, return_steps, reassignments
+        # data-independent routing problems.  The model engine charges
+        # each moving leg in closed form, the mirror cost for the
+        # return; the cycle engine measures the actual batches, and its
+        # window routes them with every other pending step's legs in
+        # ONE route_many stepping loop.  A leg that moves no packet
+        # costs nothing either way.
+        plan = _Plan(_released(culling_res, key), reassignments=reassignments)
+        nstages = len(stage_info)
+        if self.engine == "model":
+            forward = [
+                self.cost_model.route_steps(delta_in, delta_out, t_nodes)
+                if moved
+                else 0.0
+                for moved, (_, t_nodes, delta_in, delta_out, _) in zip(
+                    moves, stage_info
+                )
+            ]
+            plan.finish(stage_info, forward, float(sum(forward)))
+            return plan
+        legs = [
+            (i, PacketBatch(positions[i], positions[i + 1]))
+            for i in range(nstages)
+            if moves[i]
+        ]
+        legs += [
+            (-1, PacketBatch(positions[leg], positions[leg - 1]))
+            for leg in range(nstages, 0, -1)
+            if moves[leg - 1]
+        ]
+        if legs:
+            plan.stage_info, plan.legs = stage_info, legs
+        else:
+            plan.finish(stage_info, [0.0] * nstages, 0.0)
+        return plan
 
     def _place_packets(self, origins, page_keys, copy_nodes):
         """Every packet's node at each leg end, and the widest page span
@@ -775,47 +953,3 @@ class AccessProtocol:
             return self.cost_model.sort_steps(delta, t_nodes)
         side = max(2, 1 << max(0, (max(t_nodes, 1) - 1).bit_length() // 2))
         return float(max(delta, 1) * shearsort_steps(side))
-
-    def _route_legs(self, positions, moves, stage_info):
-        """Step costs of the forward legs (aligned with ``stage_info``)
-        plus the total return journey.
-
-        ``moves[i]`` tells whether leg ``i`` moves any packet; a leg
-        that moves none costs nothing either way.  A reversed routing
-        schedule takes exactly as many steps as the forward one, which
-        is why the paper notes the origin->destination part dominates;
-        the model engine charges the mirror cost, the cycle engine
-        measures the actual reversed batches of ``positions`` — all
-        legs batched through one ``route_many`` call.
-        """
-        if self.engine == "model":
-            forward = [
-                self.cost_model.route_steps(delta_in, delta_out, t_nodes)
-                if moved
-                else 0.0
-                for moved, (_, t_nodes, delta_in, delta_out, _) in zip(
-                    moves, stage_info
-                )
-            ]
-            return forward, float(sum(forward))
-        nstages = len(stage_info)
-        forward = [0.0] * nstages
-        return_steps = 0.0
-        slots: list[tuple[str, int]] = []
-        batches: list[PacketBatch] = []
-        for i in range(nstages):
-            if moves[i]:
-                slots.append(("fwd", i))
-                batches.append(PacketBatch(positions[i], positions[i + 1]))
-        for leg in range(nstages, 0, -1):
-            if moves[leg - 1]:
-                slots.append(("ret", leg))
-                batches.append(PacketBatch(positions[leg], positions[leg - 1]))
-        if batches:
-            results = self._sync.route_many(batches)
-            for (kind, i), res in zip(slots, results):
-                if kind == "fwd":
-                    forward[i] = float(res.steps)
-                else:
-                    return_steps += float(res.steps)
-        return forward, return_steps

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.culling import cull
 from repro.hmos import HMOS
 from repro.protocol import AccessProtocol
+from repro.protocol.access import StepRequest
 
 
 @pytest.fixture()
@@ -47,6 +48,25 @@ class TestValidation:
             scheme.memory.read(bad, 0)
         assert model.read([]).values.size == 0
         assert model.read(np.array([1], dtype=np.uint8)).values.tolist() == [111]
+
+    def test_rejects_non_integer_values_and_non_bool_is_write(self, model, scheme):
+        """Written values are never truncated, parsed or wrapped, and
+        ``is_write`` must be booleans: 1.9 and "7" used to store 1 and
+        7, ``is_write=[2]`` wrote, and 2**63 raised OverflowError."""
+        with pytest.raises(ValueError, match="int64 integers"):
+            model.write([1, 2], [1.9, "7"], timestamp=1)
+        with pytest.raises(ValueError, match="booleans"):
+            model.mixed([3], [2], [5], timestamp=1)
+        with pytest.raises(ValueError, match="int64 integers"):
+            model.write([4], [2**63], timestamp=1)
+        with pytest.raises(ValueError, match="int64 integers"):
+            model.run_steps([StepRequest("mixed", [5], [0.5], [True])])
+        with pytest.raises(ValueError, match="int64 integers"):
+            scheme.memory.write([6], [0], [1.5], timestamp=1)
+        assert scheme.memory.snapshot() == {}
+        assert model.read([1, 2, 3, 4, 5, 6]).values.tolist() == [0] * 6
+        model.mixed([3], np.array([1], dtype=bool), [5], timestamp=2)
+        assert model.read([3]).values.tolist() == [5]
 
 
 class TestReadWrite:
